@@ -13,17 +13,9 @@ import sys
 
 from . import multilinear, operators, states, verify
 from .errors import DomainError, ParseError
-from .formula import (
-    Formula,
-    IDENTIFIER_RE,
-    RESERVED_WORDS,
-    VariableOrder,
-    format_formula,
-    parse,
-    variables,
-)
+from .formula import Formula, VariableOrder, format_formula, parse, variables
 from .operators import DENSE_CAP
-from .truthtable import ARITY_CAP, Interpretation, TruthVector, truth_vector
+from .truthtable import ARITY_CAP, Interpretation, TruthVector, eval_formula, truth_vector
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -124,13 +116,10 @@ def _read_formula(args) -> Formula:
 def _resolve_order(args, f: Formula) -> VariableOrder:
     if not args.vars:
         return variables(f)
-    names = tuple(s.strip() for s in args.vars.split(","))
-    for name in names:
-        if not IDENTIFIER_RE.match(name) or name.lower() in RESERVED_WORDS:
-            raise DomainError(f"invalid variable name {name!r} in --vars")
-    if len(set(names)) != len(names):
-        raise DomainError("duplicate variable names in --vars")
-    order = VariableOrder(names)
+    try:
+        order = VariableOrder(tuple(s.strip() for s in args.vars.split(",")))
+    except ValueError as exc:
+        raise DomainError(f"--vars: {exc}") from None
     for name in variables(f):
         if name not in order:
             raise DomainError(f"formula variable {name!r} missing from --vars")
@@ -249,9 +238,8 @@ def _parse_assignment(text: str, arity: int) -> Interpretation:
 def _cmd_eval(args) -> int:
     f = _read_formula(args)
     order = _resolve_order(args, f)
-    tv = truth_vector(f, order, arity_cap=args.arity_cap)
-    itp = _parse_assignment(args.assignment, tv.arity)
-    value = operators.trace_select(operators.from_truth_vector(tv), itp)
+    itp = _parse_assignment(args.assignment, len(order))
+    value = eval_formula(f, order, itp)
     _emit(
         args,
         {
@@ -370,6 +358,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # A function index has 2**n bits, so from n = 14 on its decimal form
+    # passes Python's default int/str conversion limit of 4300 digits.  The
+    # limit is process-wide, hence restored for in-process callers.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:
@@ -380,6 +373,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Propositional formulas: syntax tree, parser, and canonical printer.
+"""Propositional formulas: syntax tree, connective table, parser, and
+canonical printer.
 
 The concrete grammar, loosest binding last::
 
@@ -29,8 +30,11 @@ Unicode operator aliases are accepted on input only:
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from typing import NamedTuple
 
 from .errors import ParseError, UnboundVariableError
 
@@ -64,6 +68,57 @@ BINARY_ONLY = frozenset(
 
 #: Connectives whose parse-level chains collapse into one k-ary node.
 FLATTENED = frozenset({Connective.AND, Connective.OR, Connective.XOR})
+
+# Printer binding strength; atoms bind tightest.
+_LEVEL_ATOM = 6
+_LEVEL_NOT = 5
+
+
+class Algebra(NamedTuple):
+    """The four primitives of a Boolean algebra in which every connective's
+    meaning is written: bitmask integers and multilinear polynomials each
+    supply one."""
+
+    neg: Callable
+    and_: Callable
+    or_: Callable
+    xor: Callable
+
+    def apply(self, op: Connective, values):
+        """Value of ``op`` applied to the operand ``values``."""
+        return CONNECTIVES[op].meaning(self, values)
+
+
+class ConnectiveRow(NamedTuple):
+    level: int  # printer binding strength
+    meaning: Callable  # (algebra, operand values) -> value
+
+
+def _maj(A: Algebra, v):
+    return A.or_(A.or_(A.and_(v[0], v[1]), A.and_(v[0], v[2])), A.and_(v[1], v[2]))
+
+
+#: Each connective defined once, after Boole: one form over the primitives
+#: of an algebra ``A``, read as truth values or as polynomials by the
+#: algebra that applies it.
+CONNECTIVES: dict[Connective, ConnectiveRow] = {
+    Connective.AND: ConnectiveRow(4, lambda A, v: reduce(A.and_, v)),
+    Connective.NAND: ConnectiveRow(4, lambda A, v: A.neg(reduce(A.and_, v))),
+    Connective.XOR: ConnectiveRow(3, lambda A, v: reduce(A.xor, v)),
+    Connective.OR: ConnectiveRow(2, lambda A, v: reduce(A.or_, v)),
+    Connective.NOR: ConnectiveRow(2, lambda A, v: A.neg(reduce(A.or_, v))),
+    Connective.IMPLIES: ConnectiveRow(1, lambda A, v: A.or_(A.neg(v[0]), v[1])),
+    Connective.CONVERSE_IMPLIES: ConnectiveRow(
+        1, lambda A, v: A.or_(v[0], A.neg(v[1]))
+    ),
+    Connective.NON_IMPLIES: ConnectiveRow(1, lambda A, v: A.and_(v[0], A.neg(v[1]))),
+    Connective.CONVERSE_NON_IMPLIES: ConnectiveRow(
+        1, lambda A, v: A.and_(A.neg(v[0]), v[1])
+    ),
+    Connective.EQUIV: ConnectiveRow(0, lambda A, v: A.neg(A.xor(v[0], v[1]))),
+    # Printed in function-call syntax, so it binds like an atom.
+    Connective.MAJ: ConnectiveRow(_LEVEL_ATOM, _maj),
+}
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -413,29 +468,14 @@ def parse(text: str) -> Formula:
 # --------------------------------------------------------------------------
 # Canonical printer
 
-# Binding strength; atoms bind tightest.
-_LEVEL_ATOM = 6
-_LEVEL_NOT = 5
-_LEVEL_BY_OP = {
-    Connective.AND: 4,
-    Connective.NAND: 4,
-    Connective.XOR: 3,
-    Connective.OR: 2,
-    Connective.NOR: 2,
-    Connective.IMPLIES: 1,
-    Connective.CONVERSE_IMPLIES: 1,
-    Connective.NON_IMPLIES: 1,
-    Connective.CONVERSE_NON_IMPLIES: 1,
-    Connective.EQUIV: 0,
-}
 _NON_ASSOCIATIVE = BINARY_ONLY - {Connective.EQUIV}
 
 
 def _level(f: Formula) -> int:
     if isinstance(f, Not):
         return _LEVEL_NOT
-    if isinstance(f, App) and f.op is not Connective.MAJ:
-        return _LEVEL_BY_OP[f.op]
+    if isinstance(f, App):
+        return CONNECTIVES[f.op].level
     return _LEVEL_ATOM
 
 
@@ -464,7 +504,7 @@ def format_formula(f: Formula) -> str:
     if f.op in (Connective.NAND, Connective.NOR) and len(f.operands) > 2:
         dual = Connective.AND if f.op is Connective.NAND else Connective.OR
         return f"!({format_formula(App(dual, f.operands))})"
-    level = _LEVEL_BY_OP[f.op]
+    level = CONNECTIVES[f.op].level
     parts = []
     for i, child in enumerate(f.operands):
         text = format_formula(child)

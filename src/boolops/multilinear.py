@@ -26,7 +26,7 @@ from .errors import (
     InvariantViolation,
     NonInterpretableError,
 )
-from .formula import Connective
+from .formula import BINARY_ONLY, Algebra, Connective
 from .truthtable import ARITY_CAP, Interpretation, TruthVector
 
 #: Default variable names used when printing, matching the usual
@@ -324,41 +324,30 @@ def select_cofactor(p: MultilinearPoly, itp: Interpretation) -> int:
     return value
 
 
+#: Boole's arithmetic on idempotent 0/1 variables.
+_POLY_ALGEBRA = Algebra(
+    neg=lambda a: 1 - a,
+    and_=lambda a, b: a * b,
+    or_=lambda a, b: a + b - a * b,
+    xor=lambda a, b: a + b - 2 * (a * b),
+)
+
+
 def connective_poly(kind: Connective, arity: int) -> MultilinearPoly:
     """Direct arithmetic form of a symmetric connective.
 
-    AND is the plain product; OR and XOR extend by the recurrences
-    ``f | x = f + x - f*x`` and ``f ^ x = f + x - 2*f*x``; NAND and NOR
-    complement them.  MAJ is defined for exactly three arguments.
+    Applies the connective's definition to the variables, reading ``neg``,
+    ``and``, ``or`` and ``xor`` as ``1 - a``, ``a*b``, ``a + b - a*b`` and
+    ``a + b - 2*a*b``.  MAJ is defined for exactly three arguments.
     """
-    if kind is Connective.MAJ:
-        if arity != 3:
-            raise DomainError("MAJ is only defined for arity 3")
-        x, y, z = (MultilinearPoly.variable(3, k) for k in range(3))
-        return x * y + x * z + y * z - 2 * (x * y * z)
+    if kind is Connective.MAJ and arity != 3:
+        raise DomainError("MAJ is only defined for arity 3")
     if arity < 2:
         raise DomainError(f"{kind.name} requires arity >= 2")
+    if kind in BINARY_ONLY:
+        raise DomainError(f"no direct arithmetic form for {kind.name}")
     xs = [MultilinearPoly.variable(arity, k) for k in range(arity)]
-    if kind is Connective.AND:
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = acc * x
-        return acc
-    if kind is Connective.NAND:
-        return 1 - connective_poly(Connective.AND, arity)
-    if kind is Connective.OR:
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = acc + x - acc * x
-        return acc
-    if kind is Connective.NOR:
-        return 1 - connective_poly(Connective.OR, arity)
-    if kind is Connective.XOR:
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = acc + x - 2 * (acc * x)
-        return acc
-    raise DomainError(f"no direct arithmetic form for {kind.name}")
+    return _POLY_ALGEBRA.apply(kind, xs)
 
 
 def format_canonical(tv: TruthVector, names=None) -> str:

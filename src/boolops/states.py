@@ -8,6 +8,7 @@ any interpretation sits at that interpretation's row index.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -66,13 +67,16 @@ def from_amplitudes(arity: int, amplitudes) -> InterpretationState:
     """Normalized state from raw amplitudes.
 
     Items may be complex numbers, reals, or (real, imaginary) pairs.
-    Raises on a zero vector or on a length other than 2**arity.
+    Raises on a zero vector, a non-finite component or a length other
+    than 2**arity.
     """
     amps = tuple(_as_complex(a) for a in amplitudes)
     if len(amps) != 1 << arity:
         raise ArityMismatchError(
             f"expected {1 << arity} amplitudes for arity {arity}, got {len(amps)}"
         )
+    if not all(map(cmath.isfinite, amps)):
+        raise DomainError("amplitudes must be finite")
     # Rescale by the largest component before normalizing so that even
     # subnormal inputs divide safely.
     scale = max(max(abs(a.real), abs(a.imag)) for a in amps)

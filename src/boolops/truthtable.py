@@ -18,7 +18,7 @@ from .errors import (
     DomainError,
     UnboundVariableError,
 )
-from .formula import App, Connective, Const, Formula, Not, Var, VariableOrder, variables
+from .formula import Algebra, App, Const, Formula, Not, Var, VariableOrder, variables
 
 #: Enumerating a table above this arity (2**24 rows) is refused by default.
 ARITY_CAP = 24
@@ -111,30 +111,28 @@ class TruthVector:
         return "".join(map(str, self.bits))
 
 
-def _apply(op: Connective, vals: tuple[int, ...]) -> int:
-    if op is Connective.AND:
-        return int(all(vals))
-    if op is Connective.OR:
-        return int(any(vals))
-    if op is Connective.XOR:
-        return sum(vals) & 1
-    if op is Connective.NAND:
-        return 1 - int(all(vals))
-    if op is Connective.NOR:
-        return 1 - int(any(vals))
-    if op is Connective.IMPLIES:
-        return int(vals[0] <= vals[1])
-    if op is Connective.CONVERSE_IMPLIES:
-        return int(vals[0] >= vals[1])
-    if op is Connective.NON_IMPLIES:
-        return int(vals[0] > vals[1])
-    if op is Connective.CONVERSE_NON_IMPLIES:
-        return int(vals[0] < vals[1])
-    if op is Connective.EQUIV:
-        return int(vals[0] == vals[1])
-    if op is Connective.MAJ:
-        return int(sum(vals) >= 2)
-    raise AssertionError(f"unhandled connective {op!r}")
+def _evaluate(f: Formula, columns: dict[str, int], full: int) -> int:
+    """Value of ``f`` as a bitmask over the rows set in ``full``, given each
+    variable's column of rows.  ``truth_vector`` passes every row at once,
+    ``eval_formula`` a single row with one bit per variable."""
+    algebra = Algebra(
+        neg=lambda a: full ^ a, and_=int.__and__, or_=int.__or__, xor=int.__xor__
+    )
+
+    def ev(g: Formula) -> int:
+        if isinstance(g, Const):
+            return full if g.value else 0
+        if isinstance(g, Var):
+            try:
+                return columns[g.name]
+            except KeyError:
+                raise UnboundVariableError(g.name) from None
+        if isinstance(g, Not):
+            return algebra.neg(ev(g.operand))
+        assert isinstance(g, App)
+        return algebra.apply(g.op, [ev(child) for child in g.operands])
+
+    return ev(f)
 
 
 def eval_formula(f: Formula, order: VariableOrder, itp: Interpretation) -> int:
@@ -143,22 +141,7 @@ def eval_formula(f: Formula, order: VariableOrder, itp: Interpretation) -> int:
         raise ArityMismatchError(
             f"assignment has {itp.arity} bits, variable order has {len(order)}"
         )
-    env = dict(zip(order.names, itp.bits))
-
-    def ev(g: Formula) -> int:
-        if isinstance(g, Const):
-            return g.value
-        if isinstance(g, Var):
-            try:
-                return env[g.name]
-            except KeyError:
-                raise UnboundVariableError(g.name) from None
-        if isinstance(g, Not):
-            return 1 - ev(g.operand)
-        assert isinstance(g, App)
-        return _apply(g.op, tuple(ev(child) for child in g.operands))
-
-    return ev(f)
+    return _evaluate(f, dict(zip(order.names, itp.bits)), 1)
 
 
 def _column_mask(position: int, arity: int) -> int:
@@ -189,46 +172,7 @@ def truth_vector(
         raise ArityCapError(n, arity_cap)
     full = (1 << (1 << n)) - 1
     columns = {name: _column_mask(p, n) for p, name in enumerate(order.names)}
-
-    def ev(g: Formula) -> int:
-        if isinstance(g, Const):
-            return full if g.value else 0
-        if isinstance(g, Var):
-            try:
-                return columns[g.name]
-            except KeyError:
-                raise UnboundVariableError(g.name) from None
-        if isinstance(g, Not):
-            return full ^ ev(g.operand)
-        assert isinstance(g, App)
-        vals = [ev(child) for child in g.operands]
-        op = g.op
-        if op is Connective.AND:
-            return reduce(int.__and__, vals)
-        if op is Connective.OR:
-            return reduce(int.__or__, vals)
-        if op is Connective.XOR:
-            return reduce(int.__xor__, vals)
-        if op is Connective.NAND:
-            return full ^ reduce(int.__and__, vals)
-        if op is Connective.NOR:
-            return full ^ reduce(int.__or__, vals)
-        if op is Connective.IMPLIES:
-            return (full ^ vals[0]) | vals[1]
-        if op is Connective.CONVERSE_IMPLIES:
-            return vals[0] | (full ^ vals[1])
-        if op is Connective.NON_IMPLIES:
-            return vals[0] & (full ^ vals[1])
-        if op is Connective.CONVERSE_NON_IMPLIES:
-            return (full ^ vals[0]) & vals[1]
-        if op is Connective.EQUIV:
-            return full ^ vals[0] ^ vals[1]
-        if op is Connective.MAJ:
-            a, b, c = vals
-            return (a & b) | (a & c) | (b & c)
-        raise AssertionError(f"unhandled connective {op!r}")
-
-    mask = ev(f)
+    mask = _evaluate(f, columns, full)
     # Base-2 string conversion extracts all rows in linear time; shifting
     # the (possibly multi-megabit) mask once per row would be quadratic.
     text = format(mask, "b").zfill(1 << n)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import multilinear, operators
 from .errors import DomainError
 from .formula import Connective, VariableOrder, parse, variables
@@ -109,6 +107,8 @@ def run_suite(arity: int, *, quadruples: int = 1000, seed: int = 20210) -> list[
 
     @suite.check("pairwise commutation (dense)")
     def _():
+        import numpy as np  # only this check needs it; keeps CLI start-up light
+
         dense = np.zeros((count, size, size), dtype=np.int64)
         for i, f in enumerate(observables):
             np.fill_diagonal(dense[i], f.diagonal)

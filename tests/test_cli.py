@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import boolops
 from boolops.cli import main
+from boolops.truthtable import ARITY_CAP
 
 
 def run(capsys, *argv):
@@ -69,6 +75,48 @@ def test_eval_command(capsys):
     assert code == 0 and out.strip() == "0"
     code, out, _ = run(capsys, "eval", "maj(x,y,z)", "110")
     assert code == 0 and out.strip() == "1"
+
+
+def test_eval_above_arity_cap(capsys):
+    # Evaluation reads one row; no table is built, so the cap does not apply.
+    n = 30
+    assert n > ARITY_CAP
+    parity = " ^ ".join(f"v{i}" for i in range(n))
+    for bits in ("1" * n, "10" * (n // 2), "0" * (n - 1) + "1"):
+        code, out, _ = run(capsys, "eval", parity, bits)
+        assert code == 0 and out.strip() == str(bits.count("1") % 2)
+    code, out, _ = run(capsys, "eval", f"({parity}) -> v0", "0" * n)
+    assert code == 0 and out.strip() == "1"
+
+
+def test_table_function_index_past_4300_digits(capsys):
+    # The 16384-bit index of a 14-variable function has 4933 decimal digits.
+    limit = sys.get_int_max_str_digits()
+    parity = " ^ ".join(f"v{i}" for i in range(14))
+    code, out, _ = run(capsys, "table", parity, "--output", "structured")
+    assert code == 0
+    table = json.loads(out, parse_int=str)
+    code, out, _ = run(
+        capsys, "index", "--arity", "14", table["function_index"],
+        "--output", "structured",
+    )
+    assert code == 0
+    back = json.loads(out, parse_int=str)
+    assert back["truth_bits"] == table["truth_bits"]
+    assert back["function_index"] == table["function_index"]
+    assert len(table["function_index"]) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_import_leaves_numpy_unloaded():
+    src = Path(boolops.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, boolops.cli; sys.exit('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert result.returncode == 0
 
 
 def test_eval_and_expect_constant_formula(capsys):
@@ -148,6 +196,12 @@ def test_exit_code_domain_errors(capsys):
     assert code == 3
     code, _, _ = run(capsys, "verify", "--arity", "9")
     assert code == 3
+
+
+@pytest.mark.parametrize("amplitudes", ["nan,1", "inf,1", "1,-inf"])
+def test_expect_rejects_non_finite_amplitudes(capsys, amplitudes):
+    code, out, err = run(capsys, "expect", "x", amplitudes)
+    assert code == 3 and out == "" and "finite" in err
 
 
 def test_arity_cap_flag(capsys):

@@ -62,6 +62,21 @@ def test_from_amplitudes_errors():
         from_amplitudes(2, (1, 0))
 
 
+@pytest.mark.parametrize(
+    "amps",
+    [
+        (math.nan, 1),
+        (math.inf, 1),
+        (1, -math.inf),
+        (complex(0, math.nan), 1),
+        ((1, math.inf), 0),
+    ],
+)
+def test_from_amplitudes_rejects_non_finite(amps):
+    with pytest.raises(DomainError):
+        from_amplitudes(1, amps)
+
+
 def test_state_normalization_is_enforced():
     with pytest.raises(DomainError):
         InterpretationState(1, (1 + 0j, 1 + 0j))

@@ -7,7 +7,17 @@ from boolops.errors import (
     DomainError,
     UnboundVariableError,
 )
-from boolops.formula import Const, Var, VariableOrder, format_formula, parse, variables
+from boolops.formula import (
+    BINARY_ONLY,
+    App,
+    Connective,
+    Const,
+    Var,
+    VariableOrder,
+    format_formula,
+    parse,
+    variables,
+)
 from boolops.truthtable import Interpretation, TruthVector, eval_formula, truth_vector
 from conftest import NAMES, formulas
 
@@ -21,6 +31,40 @@ def test_eval_xor_true_true():
 
 def test_eval_implies_true_false():
     assert eval_formula(parse("x -> y"), XY, Interpretation((1, 0))) == 0
+
+
+#: Textbook truth functions, kept apart from the connective table they check.
+REFERENCE = {
+    Connective.AND: all,
+    Connective.OR: any,
+    Connective.XOR: lambda v: sum(v) % 2,
+    Connective.NAND: lambda v: not all(v),
+    Connective.NOR: lambda v: not any(v),
+    Connective.IMPLIES: lambda v: v[0] <= v[1],
+    Connective.CONVERSE_IMPLIES: lambda v: v[0] >= v[1],
+    Connective.NON_IMPLIES: lambda v: v[0] > v[1],
+    Connective.CONVERSE_NON_IMPLIES: lambda v: v[0] < v[1],
+    Connective.EQUIV: lambda v: v[0] == v[1],
+    Connective.MAJ: lambda v: sum(v) >= 2,
+}
+
+
+@pytest.mark.parametrize("op", list(Connective))
+def test_connective_table_matches_reference(op):
+    if op in BINARY_ONLY:
+        arities = (2,)
+    elif op is Connective.MAJ:
+        arities = (3,)
+    else:
+        arities = (2, 3, 4)
+    for k in arities:
+        order = VariableOrder(tuple(f"v{i}" for i in range(k)))
+        f = App(op, tuple(Var(name) for name in order))
+        tv = truth_vector(f, order)
+        for row in range(1 << k):
+            itp = Interpretation.from_index(k, row)
+            want = int(REFERENCE[op](itp.bits))
+            assert eval_formula(f, order, itp) == tv.bits[row] == want
 
 
 def test_eval_majority():
