@@ -139,8 +139,9 @@ def _cmd_table(args) -> int:
     order = _resolve_order(args, f)
     tv = truth_vector(f, order, arity_cap=args.arity_cap)
     name = format_formula(f)
+    label = f"0{tv.arity}b"
     rows = [
-        {"bits": str(Interpretation.from_index(tv.arity, k)), "value": b}
+        {"bits": format(k, label) if tv.arity else "", "value": b}
         for k, b in enumerate(tv.bits)
     ]
     lines = [f"{' '.join(order.names)} : {name}" if order.names else name]

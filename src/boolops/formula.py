@@ -36,7 +36,7 @@ from enum import Enum
 from functools import reduce
 from typing import NamedTuple
 
-from .errors import ParseError, UnboundVariableError
+from .errors import DomainError, ParseError, UnboundVariableError
 
 
 class Connective(Enum):
@@ -241,7 +241,10 @@ def variables(f: Formula) -> VariableOrder:
             for child in g.operands:
                 walk(child)
 
-    walk(f)
+    try:
+        walk(f)
+    except RecursionError:
+        raise DomainError("formula nested too deeply to list its variables") from None
     return VariableOrder(tuple(seen))
 
 
@@ -458,11 +461,16 @@ def parse(text: str) -> Formula:
     """Parse formula text into its syntax tree.
 
     Raises :class:`ParseError` with a 1-based column and the set of
-    acceptable tokens on any syntax error.
+    acceptable tokens on any syntax error, and at the token where parsing
+    ran out of Python's recursion limit on too deeply nested text.
     """
     if not text or not text.strip():
         raise ParseError("empty formula", 1, expected=_ATOM_EXPECTED)
-    return _Parser(_tokenize(text)).parse()
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", parser._peek().pos) from None
 
 
 # --------------------------------------------------------------------------
@@ -489,25 +497,32 @@ def format_formula(f: Formula) -> str:
     which no infix chain can reproduce (chains parse left-nested); it
     prints as the equivalent negated conjunction/disjunction.
     """
+    try:
+        return _format(f)
+    except RecursionError:
+        raise DomainError("formula nested too deeply to print") from None
+
+
+def _format(f: Formula) -> str:
     if isinstance(f, Const):
         return str(f.value)
     if isinstance(f, Var):
         return f.name
     if isinstance(f, Not):
-        inner = format_formula(f.operand)
+        inner = _format(f.operand)
         if _level(f.operand) < _LEVEL_NOT:
             inner = f"({inner})"
         return f"!{inner}"
     assert isinstance(f, App)
     if f.op is Connective.MAJ:
-        return "maj(" + ", ".join(format_formula(g) for g in f.operands) + ")"
+        return "maj(" + ", ".join(_format(g) for g in f.operands) + ")"
     if f.op in (Connective.NAND, Connective.NOR) and len(f.operands) > 2:
         dual = Connective.AND if f.op is Connective.NAND else Connective.OR
-        return f"!({format_formula(App(dual, f.operands))})"
+        return f"!({_format(App(dual, f.operands))})"
     level = CONNECTIVES[f.op].level
     parts = []
     for i, child in enumerate(f.operands):
-        text = format_formula(child)
+        text = _format(child)
         lv = _level(child)
         if f.op in _NON_ASSOCIATIVE:
             wrap = lv <= level

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index as _int
+from operator import add, index as _int, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -226,6 +226,23 @@ def _mask_of_subset(subset: frozenset[int], arity: int) -> int:
     return mask
 
 
+def _butterfly(vals: list[int], sign: int) -> list[int]:
+    """In place, ``vals[m]`` becomes the sum of ``sign**|m - s| * vals[s]``
+    over the sub-masks ``s`` of row mask ``m`` (Yates 1937): the zeta
+    transform (coefficients -> values) for ``sign = +1``, its inverse, the
+    Moebius transform, for ``sign = -1``.  O(n * 2**n) additions."""
+    combine = add if sign > 0 else sub
+    half = len(vals) >> 1
+    # Each round pairs rows across the top mask bit, then interleaves the
+    # halves, rotating the mask bits left by one; after n rounds every bit
+    # has been the top bit once and the row order is restored.
+    for _ in range(half.bit_length()):
+        lo = vals[:half]
+        vals[1::2] = map(combine, vals[half:], lo)
+        vals[0::2] = lo
+    return vals
+
+
 def from_truth_vector(tv: TruthVector, *, arity_cap: int = ARITY_CAP) -> MultilinearPoly:
     """Unique multilinear polynomial agreeing with ``tv`` on {0,1}**n.
 
@@ -235,16 +252,22 @@ def from_truth_vector(tv: TruthVector, *, arity_cap: int = ARITY_CAP) -> Multili
     n = tv.arity
     if n > arity_cap:
         raise ArityCapError(n, arity_cap)
-    vals = list(tv.bits)
-    size = 1 << n
-    for j in range(n):
-        bit = 1 << j
-        for m in range(size):
-            if m & bit:
-                vals[m] -= vals[m ^ bit]
+    vals = _butterfly(list(tv.bits), -1)
     return MultilinearPoly(
         n, {_subset_of_mask(m, n): c for m, c in enumerate(vals) if c}
     )
+
+
+def values(p: MultilinearPoly) -> list[int]:
+    """Value of ``p`` at every 0/1 point in row order: the zeta transform
+    of its coefficients, O(n * 2**n), refused above ``ARITY_CAP``."""
+    n = p.arity
+    if n > ARITY_CAP:
+        raise ArityCapError(n, ARITY_CAP)
+    vals = [0] * (1 << n)
+    for s, c in p.coeffs.items():
+        vals[_mask_of_subset(s, n)] = c
+    return _butterfly(vals, +1)
 
 
 def to_truth_vector(p: MultilinearPoly) -> TruthVector:
@@ -255,15 +278,7 @@ def to_truth_vector(p: MultilinearPoly) -> TruthVector:
     (in row order) where the value falls outside {0, 1}.
     """
     n = p.arity
-    size = 1 << n
-    vals = [0] * size
-    for s, c in p.coeffs.items():
-        vals[_mask_of_subset(s, n)] += c
-    for j in range(n):
-        bit = 1 << j
-        for m in range(size):
-            if m & bit:
-                vals[m] += vals[m ^ bit]
+    vals = values(p)
     for k, v in enumerate(vals):
         if v not in (0, 1):
             raise NonInterpretableError(Interpretation.from_index(n, k).bits, v)
@@ -286,7 +301,7 @@ def minterm_poly(itp: Interpretation) -> MultilinearPoly:
     return MultilinearPoly(n, coeffs)
 
 
-def from_minterm_list(arity: int, minterms, *, arity_cap: int = ARITY_CAP) -> MultilinearPoly:
+def from_minterm_list(arity: int, minterms) -> MultilinearPoly:
     """Sum of the listed minterms, expanded.
 
     Minterms are pairwise orthogonal, so the plain integer sum equals the
@@ -294,8 +309,8 @@ def from_minterm_list(arity: int, minterms, *, arity_cap: int = ARITY_CAP) -> Mu
     """
     if arity < 1:
         raise DomainError("minterm list requires arity >= 1")
-    if arity > arity_cap:
-        raise ArityCapError(arity, arity_cap)
+    if arity > ARITY_CAP:
+        raise ArityCapError(arity, ARITY_CAP)
     acc = MultilinearPoly.zero(arity)
     for index in minterms:
         if not 0 <= index < (1 << arity):

@@ -23,7 +23,7 @@ from .errors import (
     DomainError,
     InvariantViolation,
 )
-from .multilinear import MultilinearPoly
+from .multilinear import MultilinearPoly, values
 from .truthtable import ARITY_CAP, Interpretation, TruthVector
 
 #: Dense 2**n x 2**n export is refused above this arity by default.
@@ -190,28 +190,14 @@ def from_truth_vector(tv: TruthVector) -> DiagonalOperator:
     return DiagonalOperator(tv.arity, tv.bits)
 
 
-def lift_polynomial(
-    p: MultilinearPoly, *, arity_cap: int = ARITY_CAP
-) -> DiagonalOperator:
+def lift_polynomial(p: MultilinearPoly) -> DiagonalOperator:
     """Substitute the logical projector for each variable of ``p``.
 
-    Monomials become matrix products of projectors and the coefficients
-    scale the sum, so an interpretable polynomial lifts to the projector
-    of its own truth vector.
+    The projectors are diagonal, so the result is ``p`` evaluated at every
+    interpretation (the zeta transform, O(n * 2**n)); an interpretable
+    polynomial lifts to the projector of its own truth vector.
     """
-    n = p.arity
-    if n > arity_cap:
-        raise ArityCapError(n, arity_cap)
-    if n == 0:
-        return DiagonalOperator(0, (p.coefficient(()),))
-    projectors = [logical_projector(n, k) for k in range(n)]
-    acc = DiagonalOperator.zero(n)
-    for positions, c in p.monomials():
-        term = DiagonalOperator.identity(n)
-        for k in positions:
-            term = term * projectors[k]
-        acc = acc + c * term
-    return acc
+    return DiagonalOperator(p.arity, values(p))
 
 
 def trace_select(f: DiagonalOperator, itp: Interpretation) -> int:
@@ -246,9 +232,7 @@ def _matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     )
 
 
-def von_neumann_check(
-    p: DiagonalOperator, q: DiagonalOperator, *, dense_cap: int = DENSE_CAP
-) -> VonNeumannReport:
+def von_neumann_check(p: DiagonalOperator, q: DiagonalOperator) -> VonNeumannReport:
     """Check the classical projector rules on a pair of projectors:
     p + q is a projector iff p*q == 0, and p - q is a projector iff
     p*q == q.  Both directions of each equivalence are asserted;
@@ -257,8 +241,8 @@ def von_neumann_check(
     p._check_arity(q)
     if not (p.is_projector and q.is_projector):
         raise DomainError("both operands must be projectors")
-    if p.arity <= dense_cap:
-        dp, dq = p.dense(dense_cap=dense_cap), q.dense(dense_cap=dense_cap)
+    if p.arity <= DENSE_CAP:
+        dp, dq = p.dense(), q.dense()
         commute = _matmul(dp, dq) == _matmul(dq, dp)
     else:
         commute = p * q == q * p

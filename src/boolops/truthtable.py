@@ -132,7 +132,10 @@ def _evaluate(f: Formula, columns: dict[str, int], full: int) -> int:
         assert isinstance(g, App)
         return algebra.apply(g.op, [ev(child) for child in g.operands])
 
-    return ev(f)
+    try:
+        return ev(f)
+    except RecursionError:
+        raise DomainError("formula nested too deeply to evaluate") from None
 
 
 def eval_formula(f: Formula, order: VariableOrder, itp: Interpretation) -> int:

@@ -2,8 +2,9 @@
 
 Checks run over all 2**(2**n) functions, n <= 3.  The commutation check
 builds literal dense matrices (via numpy, exact integers) to certify the
-diagonal fast path; everything else uses the exact diagonal and
-polynomial routes.
+diagonal fast path, and the correspondence check substitutes projectors
+into each polynomial literally to certify the zeta-transform lift;
+everything else uses the exact diagonal and polynomial routes.
 """
 
 from __future__ import annotations
@@ -52,6 +53,19 @@ _FORMULAS = {
         "x !-> (y !<- z)",
     ],
 }
+
+
+def _substitute_projectors(p: multilinear.MultilinearPoly) -> DiagonalOperator:
+    """The literal lift: each variable replaced by its logical projector,
+    monomials as operator products, coefficients scaling the sum."""
+    projectors = [operators.logical_projector(p.arity, k) for k in range(p.arity)]
+    acc = DiagonalOperator.zero(p.arity)
+    for positions, c in p.monomials():
+        term = DiagonalOperator.identity(p.arity)
+        for k in positions:
+            term = term * projectors[k]
+        acc = acc + c * term
+    return acc
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,6 +173,7 @@ def run_suite(arity: int, *, quadruples: int = 1000, seed: int = 20210) -> list[
             assert poly * poly == poly
             lifted = operators.lift_polynomial(poly)
             assert lifted == f
+            assert _substitute_projectors(poly) == f
             assert lifted.diagonal == tv.bits
 
     @suite.check("projector sum/difference rules")

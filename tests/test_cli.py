@@ -108,6 +108,36 @@ def test_table_function_index_past_4300_digits(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize(
+    "text, ok",
+    [
+        ("(" * 100 + "x" + ")" * 100, False),
+        ("!" * 1000 + "x", False),
+        ("x" + " nand x" * 799, False),
+        ("(" * 90 + "x" + ")" * 90, True),
+        ("!" * 900 + "x", True),
+        ("x" + " nand x" * 399, True),
+    ],
+    ids=["parens-100", "not-1000", "nand-800", "parens-90", "not-900", "nand-400"],
+)
+def test_deep_nesting_exits_without_traceback(text, ok):
+    # A fresh process, so the stack depth is the command line's, not pytest's.
+    src = Path(boolops.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "boolops.cli", "eval", text, "1"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert "Traceback" not in result.stderr
+    if ok:
+        assert result.returncode == 0
+    else:
+        assert result.returncode in (2, 3)
+        assert "nested too deeply" in result.stderr
+
+
 def test_import_leaves_numpy_unloaded():
     src = Path(boolops.__file__).resolve().parents[1]
     result = subprocess.run(

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from boolops.errors import ParseError
+from boolops.errors import DomainError, ParseError
 from boolops.formula import (
     App,
     Connective,
@@ -13,6 +13,7 @@ from boolops.formula import (
     parse,
     variables,
 )
+from boolops.truthtable import Interpretation, eval_formula, truth_vector
 from conftest import formulas
 
 AND = Connective.AND
@@ -121,6 +122,32 @@ def test_parse_error_unbalanced_paren():
         parse("(x | y")
     assert excinfo.value.position == 7
     assert "')'" in excinfo.value.expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["!" * 5000 + "x", "(" * 2000 + "x" + ")" * 2000, "maj(x, y, " * 2000],
+    ids=["not-5000", "parens-2000", "maj-2000"],
+)
+def test_parse_overflow_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(text)
+
+
+def test_walkers_refuse_trees_nested_past_the_recursion_limit():
+    deep = Var("x")
+    for _ in range(5000):
+        deep = Not(deep)
+    order = VariableOrder(("x",))
+    calls = [
+        lambda: variables(deep),
+        lambda: format_formula(deep),
+        lambda: truth_vector(deep, order),
+        lambda: eval_formula(deep, order, Interpretation((1,))),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="nested too deeply"):
+            call()
 
 
 def test_parse_error_unknown_character():

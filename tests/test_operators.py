@@ -2,14 +2,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boolops.errors import (
     ArityCapError,
     ArityMismatchError,
     DenseCapError,
     DomainError,
+    NonInterpretableError,
 )
 from boolops.multilinear import MultilinearPoly, from_truth_vector as poly_of
+from boolops.multilinear import to_truth_vector
 from boolops.operators import (
     DiagonalOperator,
     from_truth_vector,
@@ -115,6 +119,65 @@ def test_lift_of_uninterpretable_polynomial_is_not_a_projector():
     lifted = lift_polynomial(x + y)
     assert lifted.diagonal == (0, 1, 1, 2)
     assert not lifted.is_projector
+
+
+def literal_lift(p):
+    """The paper's construction: each variable replaced by its logical
+    projector, monomials as operator products, coefficients scaling the sum."""
+    acc = DiagonalOperator.zero(p.arity)
+    for positions, c in p.monomials():
+        term = DiagonalOperator.identity(p.arity)
+        for k in positions:
+            term = term * logical_projector(p.arity, k)
+        acc = acc + c * term
+    return acc
+
+
+def _polys_of_arity(n):
+    subsets = st.frozensets(st.integers(0, n - 1)) if n else st.just(frozenset())
+    arbitrary = st.dictionaries(subsets, st.integers(-3, 3), max_size=1 << n)
+    interpretable = st.integers(0, (1 << (1 << n)) - 1)
+    return st.one_of(
+        arbitrary.map(lambda coeffs: MultilinearPoly(n, coeffs)),
+        interpretable.map(lambda i: poly_of(TruthVector.from_index(n, i))),
+    )
+
+
+polys = st.integers(0, 6).flatmap(_polys_of_arity)
+
+
+def _rows(n):
+    return [Interpretation.from_index(n, k).bits for k in range(1 << n)]
+
+
+@given(polys)
+def test_lift_is_literal_substitution_and_pointwise_evaluation(p):
+    diagonal = lift_polynomial(p).diagonal
+    assert diagonal == literal_lift(p).diagonal
+    assert diagonal == tuple(p.evaluate(bits) for bits in _rows(p.arity))
+
+
+@given(polys)
+def test_to_truth_vector_values_first_bad_row_and_round_trip(p):
+    rows = _rows(p.arity)
+    values = [p.evaluate(bits) for bits in rows]
+    bad = [k for k, v in enumerate(values) if v not in (0, 1)]
+    if bad:
+        with pytest.raises(NonInterpretableError) as excinfo:
+            to_truth_vector(p)
+        assert excinfo.value.bits == rows[bad[0]]
+        assert excinfo.value.value == values[bad[0]]
+    else:
+        tv = to_truth_vector(p)
+        assert tv.bits == tuple(values)
+        assert poly_of(tv) == p
+
+
+def test_transforms_refuse_arity_above_cap_before_allocating():
+    p = MultilinearPoly.variable(40, 0)
+    for convert in (to_truth_vector, lift_polynomial):
+        with pytest.raises(ArityCapError):
+            convert(p)
 
 
 def test_operator_arithmetic_examples():
