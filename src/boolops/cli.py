@@ -7,12 +7,14 @@ error (arity caps, mismatched assignments, bad amplitudes, ...).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
+from itertools import repeat
 
 from . import multilinear, operators, states, verify
-from .errors import DomainError, ParseError
+from .errors import DomainError, InvariantViolation, ParseError
 from .formula import Formula, VariableOrder, format_formula, parse, variables
 from .operators import DENSE_CAP
 from .truthtable import ARITY_CAP, Interpretation, TruthVector, eval_formula, truth_vector
@@ -126,12 +128,20 @@ def _resolve_order(args, f: Formula) -> VariableOrder:
     return order
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload, lines) -> None:
+    """Print the form ``--output`` asks for, building only that one:
+    ``payload()`` as one compact JSON line, or each of ``lines()``."""
     if args.output == "structured":
-        print(json.dumps(payload, indent=2))
+        # The payloads are trees, so the encoder need not track cycles.
+        print(json.dumps(payload(), check_circular=False))
     else:
-        for line in text_lines:
-            print(line)
+        print("\n".join(lines()))
+
+
+def _row_labels(n: int):
+    """Each row's assignment as ``n`` binary digits, first variable first;
+    the single row at arity 0 has the empty label."""
+    return map(format, range(1 << n), repeat(f"0{n}b")) if n else iter([""])
 
 
 def _cmd_table(args) -> int:
@@ -139,25 +149,27 @@ def _cmd_table(args) -> int:
     order = _resolve_order(args, f)
     tv = truth_vector(f, order, arity_cap=args.arity_cap)
     name = format_formula(f)
-    label = f"0{tv.arity}b"
-    rows = [
-        {"bits": format(k, label) if tv.arity else "", "value": b}
-        for k, b in enumerate(tv.bits)
-    ]
-    lines = [f"{' '.join(order.names)} : {name}" if order.names else name]
-    lines += [
-        f"{row['bits']} : {row['value']}" if row["bits"] else str(row["value"])
-        for row in rows
-    ]
-    lines += [f"truth vector: {tv}", f"function index: f_{tv.function_index}"]
+    n = tv.arity
+
+    def lines():
+        yield f"{' '.join(order.names)} : {name}" if n else name
+        if n:
+            yield from map("{} : {}".format, _row_labels(n), tv.bits)
+        else:
+            yield str(tv.bits[0])
+        yield f"truth vector: {tv}"
+        yield f"function index: f_{tv.function_index}"
+
     _emit(
         args,
-        {
+        lambda: {
             "command": "table",
             "name": name,
             "variables": list(order.names),
-            "arity": tv.arity,
-            "rows": rows,
+            "arity": n,
+            "rows": [
+                {"bits": k, "value": b} for k, b in zip(_row_labels(n), tv.bits)
+            ],
             "truth_bits": str(tv),
             "function_index": tv.function_index,
         },
@@ -169,33 +181,33 @@ def _cmd_table(args) -> int:
 def _cmd_poly(args) -> int:
     f = _read_formula(args)
     order = _resolve_order(args, f)
+    names = order.names
     tv = truth_vector(f, order, arity_cap=args.arity_cap)
-    names = order.names or None
-    poly = multilinear.from_truth_vector(tv, arity_cap=args.arity_cap)
+    if args.output == "text" and args.canonical:
+        print(multilinear.format_canonical(tv, names))
+        return EXIT_OK
+    # One sort of the monomials serves the text and the monomial list.
+    terms = multilinear.from_truth_vector(tv, arity_cap=args.arity_cap).monomials()
     if args.canonical:
         text = multilinear.format_canonical(tv, names)
     else:
-        text = poly.format(names)
-    monomials = [
-        {
-            "variables": [order.names[p] for p in positions],
-            "coefficient": c,
-        }
-        for positions, c in poly.monomials()
-    ]
+        text = multilinear.format_terms(terms, names)
     _emit(
         args,
-        {
+        lambda: {
             "command": "poly",
             "name": format_formula(f),
-            "variables": list(order.names),
+            "variables": list(names),
             "arity": tv.arity,
             "truth_bits": str(tv),
             "canonical": bool(args.canonical),
-            "monomials": monomials,
+            "monomials": [
+                {"variables": list(map(names.__getitem__, positions)), "coefficient": c}
+                for positions, c in terms
+            ],
             "text": text,
         },
-        [text],
+        lambda: [text],
     )
     return EXIT_OK
 
@@ -205,14 +217,10 @@ def _cmd_observable(args) -> int:
     order = _resolve_order(args, f)
     tv = truth_vector(f, order, arity_cap=args.arity_cap)
     obs = operators.from_truth_vector(tv)
-    lines = [str(obs)]
-    dense = None
-    if args.dense:
-        dense = obs.dense(dense_cap=args.dense_cap)
-        lines += [" ".join(map(str, row)) for row in dense]
+    dense = obs.dense(dense_cap=args.dense_cap) if args.dense else None
     _emit(
         args,
-        {
+        lambda: {
             "command": "observable",
             "name": format_formula(f),
             "variables": list(order.names),
@@ -221,7 +229,7 @@ def _cmd_observable(args) -> int:
             "diagonal": list(obs.diagonal),
             "dense": [list(row) for row in dense] if dense is not None else None,
         },
-        lines,
+        lambda: [str(obs), *(" ".join(map(str, row)) for row in dense or ())],
     )
     return EXIT_OK
 
@@ -243,14 +251,14 @@ def _cmd_eval(args) -> int:
     value = eval_formula(f, order, itp)
     _emit(
         args,
-        {
+        lambda: {
             "command": "eval",
             "name": format_formula(f),
             "variables": list(order.names),
             "assignment": str(itp),
             "value": value,
         },
-        [str(value)],
+        lambda: [str(value)],
     )
     return EXIT_OK
 
@@ -259,13 +267,15 @@ def _parse_amplitudes(text: str, arity: int) -> states.InterpretationState:
     if text.strip().lower() == "uniform":
         size = 1 << arity
         return states.from_amplitudes(arity, [1 / math.sqrt(size)] * size)
-    items = []
-    for token in text.split(","):
-        token = token.strip().replace(" ", "")
-        try:
-            items.append(complex(token))
-        except ValueError:
-            raise DomainError(f"invalid amplitude {token!r}") from None
+    tokens = list(map(str.strip, text.replace(" ", "").split(",")))
+    try:
+        items = list(map(complex, tokens))
+    except ValueError:
+        for token in tokens:  # name the first one that is not a number
+            try:
+                complex(token)
+            except ValueError:
+                raise DomainError(f"invalid amplitude {token!r}") from None
     return states.from_amplitudes(arity, items)
 
 
@@ -277,14 +287,14 @@ def _cmd_expect(args) -> int:
     value = states.expectation(operators.from_truth_vector(tv), state)
     _emit(
         args,
-        {
+        lambda: {
             "command": "expect",
             "name": format_formula(f),
             "variables": list(order.names),
             "amplitudes": [[a.real, a.imag] for a in state.amplitudes],
             "value": value,
         },
-        [f"{value:.12g}"],
+        lambda: [f"{value:.12g}"],
     )
     return EXIT_OK
 
@@ -307,13 +317,13 @@ def _cmd_index(args) -> int:
         result_lines = [str(tv)]
     _emit(
         args,
-        {
+        lambda: {
             "command": "index",
             "arity": tv.arity,
             "truth_bits": str(tv),
             "function_index": tv.function_index,
         },
-        result_lines,
+        lambda: result_lines,
     )
     return EXIT_OK
 
@@ -321,18 +331,20 @@ def _cmd_index(args) -> int:
 def _cmd_verify(args) -> int:
     results = verify.run_suite(args.arity)
     passed = all(r.passed for r in results)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        suffix = f" ({r.detail})" if r.detail else ""
-        lines.append(f"{status} {r.name}{suffix}")
-    lines.append(
-        f"{'all checks passed' if passed else 'FAILURES detected'} "
-        f"at arity {args.arity}"
-    )
+
+    def lines():
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            suffix = f" ({r.detail})" if r.detail else ""
+            yield f"{status} {r.name}{suffix}"
+        yield (
+            f"{'all checks passed' if passed else 'FAILURES detected'} "
+            f"at arity {args.arity}"
+        )
+
     _emit(
         args,
-        {
+        lambda: {
             "command": "verify",
             "arity": args.arity,
             "checks": [
@@ -364,6 +376,11 @@ def main(argv=None) -> int:
     # limit is process-wide, hence restored for in-process callers.
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    # A command builds up to millions of acyclic tuples, frozensets, lists
+    # and dicts, which reference counting frees; the cyclic collector would
+    # only traverse them again and again.  Also restored on return.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:
@@ -374,7 +391,12 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     finally:
+        if collecting:
+            gc.enable()
         sys.set_int_max_str_digits(digits)
 
 

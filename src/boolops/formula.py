@@ -171,13 +171,32 @@ class Var(Formula):
             raise ValueError(f"variable name {self.name!r} is a reserved word")
 
 
-@dataclass(frozen=True, slots=True)
-class Not(Formula):
+class _Node(Formula):
+    """An inner node.  Equality, hashing and ``repr`` walk the tree with an
+    explicit stack, so they work at any depth the parser builds; they mean
+    what the dataclass-generated methods mean, field by field."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _preorder(self) == _preorder(other)
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self):
+        return _repr(self)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Not(_Node):
     operand: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class App(Formula):
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class App(_Node):
     """Application of a connective to a tuple of operand formulas."""
 
     op: Connective
@@ -194,6 +213,52 @@ class App(Formula):
                 raise ValueError(f"MAJ takes exactly 3 operands, got {k}")
         elif k < 2:
             raise ValueError(f"{self.op.name} takes at least 2 operands, got {k}")
+
+
+def _preorder(f: Formula) -> list:
+    """The tree as a token list in pre-order: ``Not`` for a negation,
+    ``(op, operand count)`` for an application, leaves as themselves.  The
+    list determines the tree, so two trees are equal iff their lists are."""
+    tokens, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if g.__class__ is Not:
+            tokens.append(Not)
+            stack.append(g.operand)
+        elif g.__class__ is App:
+            tokens.append((g.op, len(g.operands)))
+            stack.extend(reversed(g.operands))
+        else:
+            tokens.append(g)
+    return tokens
+
+
+class _Text(str):
+    """Literal output on :func:`_repr`'s stack, told apart from nodes."""
+
+    __slots__ = ()
+
+
+def _repr(f: Formula) -> str:
+    """``repr`` as the dataclasses print it, e.g.
+    ``Not(operand=Var(name='x'))``, built from an explicit stack of nodes
+    and literal text."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if g.__class__ is _Text:
+            out.append(g)
+        elif g.__class__ is Not:
+            out.append("Not(operand=")
+            stack += [_Text(")"), g.operand]
+        elif g.__class__ is App:
+            out.append(f"App(op={g.op!r}, operands=(")
+            stack.append(_Text(",))" if len(g.operands) == 1 else "))"))
+            for i, child in enumerate(reversed(g.operands)):
+                stack += [_Text(", "), child] if i else [child]
+        else:
+            out.append(repr(g))
+    return "".join(out)
 
 
 @dataclass(frozen=True, slots=True)

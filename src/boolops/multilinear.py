@@ -16,7 +16,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, index as _int, sub
+from functools import cache
+from itertools import compress, repeat
+from operator import add, and_, index as _int, or_, rshift, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -50,7 +52,7 @@ class MultilinearPoly:
 
     __slots__ = ("arity", "coeffs")
 
-    def __init__(self, arity: int, coeffs: Mapping | Iterable = ()):
+    def __new__(cls, arity: int, coeffs: Mapping | Iterable = ()):
         if arity < 0:
             raise DomainError(f"arity must be >= 0, got {arity}")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -66,8 +68,16 @@ class MultilinearPoly:
                 clean[subset] = clean.get(subset, 0) + c
                 if not clean[subset]:
                     del clean[subset]
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+        return cls._of(arity, clean)
+
+    @classmethod
+    def _of(cls, arity: int, coeffs: dict) -> "MultilinearPoly":
+        """Wrap ``coeffs`` unchecked and uncopied: frozenset keys within
+        ``arity``, nonzero int values."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "arity", arity)
+        object.__setattr__(p, "coeffs", MappingProxyType(coeffs))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearPoly is immutable")
@@ -167,32 +177,18 @@ class MultilinearPoly:
     def coefficient(self, subset) -> int:
         return self.coeffs.get(frozenset(subset), 0)
 
-    def monomials(self):
+    def monomials(self) -> list[tuple[tuple[int, ...], int]]:
         """Monomials as (sorted positions, coefficient), degree then
         position order."""
-        for s in sorted(self.coeffs, key=lambda s: (len(s), sorted(s))):
-            yield tuple(sorted(s)), self.coeffs[s]
+        positions = list(map(tuple, map(sorted, self.coeffs)))
+        ranked = sorted(zip(map(len, positions), positions, self.coeffs.values()))
+        return [(ps, c) for _, ps, c in ranked]
 
     def format(self, names=None) -> str:
         """Render like ``x + y - 2*x*y``; unit coefficients are omitted."""
         if names is None:
             names = default_names(self.arity)
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for positions, c in self.monomials():
-            mag = abs(c)
-            if not positions:
-                body = str(mag)
-            else:
-                body = "*".join(names[p] for p in positions)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(parts)
+        return format_terms(self.monomials(), names)
 
     def __eq__(self, other):
         return (
@@ -211,12 +207,51 @@ class MultilinearPoly:
         return f"MultilinearPoly({self.arity}, {self.format()!r})"
 
 
+def format_terms(terms, names) -> str:
+    """Render ``(positions, coefficient)`` pairs, in the order given, like
+    ``x + y - 2*x*y``; unit coefficients are omitted."""
+    parts = []
+    for positions, c in terms:
+        mag = abs(c)
+        if not positions:
+            body = str(mag)
+        else:
+            body = "*".join(map(names.__getitem__, positions))
+            if mag != 1:
+                body = f"{mag}*{body}"
+        parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    if not parts:
+        return "0"
+    # The leading term carries its sign without the space.
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 # --------------------------------------------------------------------------
 # Truth-vector conversions
 
-def _subset_of_mask(mask: int, arity: int) -> frozenset[int]:
-    # Row-index bit (arity-1-p) belongs to variable position p.
-    return frozenset(arity - 1 - j for j in range(arity) if (mask >> j) & 1)
+@cache
+def _subset_tables(arity: int) -> tuple[tuple[frozenset[int], ...], ...]:
+    """For each byte of a row mask, lowest first, the position set of each
+    of its values; row-index bit ``arity - 1 - p`` belongs to position p."""
+    return tuple(
+        tuple(
+            frozenset(arity - 1 - low - j for j in range(8) if (v >> j) & 1)
+            for v in range(1 << min(8, arity - low))
+        )
+        for low in range(0, max(arity, 1), 8)
+    )
+
+
+def _subsets_of_masks(masks: list[int], arity: int):
+    """Position set of each row mask: one table lookup per mask byte,
+    joined by set union."""
+    tables = _subset_tables(arity)
+    subsets = map(tables[0].__getitem__, map(and_, masks, repeat(0xFF)))
+    for k, table in enumerate(tables[1:], 1):
+        byte = map(and_, map(rshift, masks, repeat(8 * k)), repeat(0xFF))
+        subsets = map(or_, subsets, map(table.__getitem__, byte))
+    return subsets
 
 
 def _mask_of_subset(subset: frozenset[int], arity: int) -> int:
@@ -253,8 +288,9 @@ def from_truth_vector(tv: TruthVector, *, arity_cap: int = ARITY_CAP) -> Multili
     if n > arity_cap:
         raise ArityCapError(n, arity_cap)
     vals = _butterfly(list(tv.bits), -1)
-    return MultilinearPoly(
-        n, {_subset_of_mask(m, n): c for m, c in enumerate(vals) if c}
+    masks = list(compress(range(len(vals)), vals))
+    return MultilinearPoly._of(
+        n, dict(zip(_subsets_of_masks(masks, n), filter(None, vals)))
     )
 
 

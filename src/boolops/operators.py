@@ -40,7 +40,7 @@ class DiagonalOperator:
     def __init__(self, arity: int, diagonal):
         # operator.index keeps the entries exact: floats are rejected
         # instead of silently truncated.
-        diagonal = tuple(int(_int(d)) for d in diagonal)
+        diagonal = tuple(map(int, map(_int, diagonal)))
         if arity < 0:
             raise DomainError(f"arity must be >= 0, got {arity}")
         if len(diagonal) != 1 << arity:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ArityMismatchError, DomainError
 from .operators import DiagonalOperator, trace_select
@@ -19,6 +20,8 @@ from .truthtable import Interpretation
 NORM_TOL = 1e-9
 #: Inputs whose norm is within this of 1 count as already normalized.
 INPUT_NORM_TOL = 1e-6
+
+_real, _imag = attrgetter("real"), attrgetter("imag")
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,9 +37,7 @@ class InterpretationState:
     input_normalized: bool = True
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "amplitudes", tuple(complex(a) for a in self.amplitudes)
-        )
+        object.__setattr__(self, "amplitudes", tuple(map(complex, self.amplitudes)))
         if len(self.amplitudes) != 1 << self.arity:
             raise ArityMismatchError(
                 f"expected {1 << self.arity} amplitudes for arity {self.arity}, "
@@ -70,7 +71,11 @@ def from_amplitudes(arity: int, amplitudes) -> InterpretationState:
     Raises on a zero vector, a non-finite component or a length other
     than 2**arity.
     """
-    amps = tuple(_as_complex(a) for a in amplitudes)
+    items = tuple(amplitudes)
+    try:
+        amps = tuple(map(complex, items))
+    except TypeError:  # (real, imaginary) pairs among the items
+        amps = tuple(map(_as_complex, items))
     if len(amps) != 1 << arity:
         raise ArityMismatchError(
             f"expected {1 << arity} amplitudes for arity {arity}, got {len(amps)}"
@@ -79,7 +84,7 @@ def from_amplitudes(arity: int, amplitudes) -> InterpretationState:
         raise DomainError("amplitudes must be finite")
     # Rescale by the largest component before normalizing so that even
     # subnormal inputs divide safely.
-    scale = max(max(abs(a.real), abs(a.imag)) for a in amps)
+    scale = max(max(map(abs, map(_real, amps))), max(map(abs, map(_imag, amps))))
     if scale == 0.0:
         raise DomainError("amplitude vector has zero norm")
     scaled = tuple(a / scale for a in amps)

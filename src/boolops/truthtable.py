@@ -23,6 +23,28 @@ from .formula import Algebra, App, Const, Formula, Not, Var, VariableOrder, vari
 #: Enumerating a table above this arity (2**24 rows) is refused by default.
 ARITY_CAP = 24
 
+_BITS = frozenset((0, 1))
+#: ``bytes.translate`` table turning the ASCII digits 0/1 into the bytes 0/1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits_valid(bits: tuple) -> bool:
+    """Every entry equals 0 or 1 (so ``True`` and ``1.0`` do too)."""
+    try:
+        return _BITS.issuperset(bits)
+    except TypeError:  # an unhashable entry: compare one by one
+        return all(b in (0, 1) for b in bits)
+
+
+def _rows_of_mask(mask: int, rows: int) -> tuple[int, ...]:
+    """Bit k of ``mask`` for k in range(rows), as a tuple of 0/1 ints.
+
+    Base-2 string conversion extracts all rows in linear time; shifting
+    the (possibly multi-megabit) mask once per row would be quadratic.
+    """
+    text = format(mask, "b").zfill(rows)[::-1]
+    return tuple(text.encode("ascii").translate(_DIGIT_VALUES))
+
 
 @dataclass(frozen=True, slots=True)
 class Interpretation:
@@ -32,9 +54,9 @@ class Interpretation:
 
     def __post_init__(self):
         bits = tuple(self.bits)
-        if any(b not in (0, 1) for b in bits):
+        if not _bits_valid(bits):
             raise DomainError(f"assignment bits must be 0/1, got {bits!r}")
-        object.__setattr__(self, "bits", tuple(int(b) for b in bits))
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     @classmethod
     def from_index(cls, arity: int, index: int) -> "Interpretation":
@@ -73,9 +95,9 @@ class TruthVector:
                 f"expected {1 << self.arity} rows for arity {self.arity}, "
                 f"got {len(bits)}"
             )
-        if any(b not in (0, 1) for b in bits):
+        if not _bits_valid(bits):
             raise DomainError("truth vector entries must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(int(b) for b in bits))
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     @classmethod
     def from_bits(cls, bits) -> "TruthVector":
@@ -97,12 +119,12 @@ class TruthVector:
             raise DomainError(
                 f"function index {index} out of range for arity {arity}"
             )
-        return cls(arity, tuple((index >> k) & 1 for k in range(rows)))
+        return cls(arity, _rows_of_mask(index, rows))
 
     @property
     def function_index(self) -> int:
         """Row 0 is the least significant bit of the function number."""
-        return sum(b << k for k, b in enumerate(self.bits))
+        return int(str(self)[::-1], 2)
 
     def complement(self) -> "TruthVector":
         return TruthVector(self.arity, tuple(1 - b for b in self.bits))
@@ -175,8 +197,4 @@ def truth_vector(
         raise ArityCapError(n, arity_cap)
     full = (1 << (1 << n)) - 1
     columns = {name: _column_mask(p, n) for p, name in enumerate(order.names)}
-    mask = _evaluate(f, columns, full)
-    # Base-2 string conversion extracts all rows in linear time; shifting
-    # the (possibly multi-megabit) mask once per row would be quadratic.
-    text = format(mask, "b").zfill(1 << n)
-    return TruthVector(n, tuple(int(ch) for ch in reversed(text)))
+    return TruthVector(n, _rows_of_mask(_evaluate(f, columns, full), 1 << n))

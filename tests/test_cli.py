@@ -1,14 +1,21 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boolops
 from boolops.cli import main
+from boolops.errors import InvariantViolation
+from boolops.formula import format_formula
 from boolops.truthtable import ARITY_CAP
+from conftest import formulas
 
 
 def run(capsys, *argv):
@@ -202,6 +209,17 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1 and not payload["passed"]
 
 
+def test_invariant_violation_exits_1_without_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("forced disagreement")
+
+    monkeypatch.setattr("boolops.cli.truth_vector", broken)
+    for output in ("text", "structured"):
+        code, out, err = run(capsys, "table", "x | y", "--output", output)
+        assert code == 1 and out == ""
+        assert err == "error: forced disagreement\n"
+
+
 def test_stdin_formula(capsys, monkeypatch):
     import io
 
@@ -315,3 +333,42 @@ def test_structured_verify(capsys):
     code, payload = run_json(capsys, "verify", "--arity", "1")
     assert code == 0 and payload["passed"]
     assert all(check["passed"] for check in payload["checks"])
+
+
+# -- any formula text ends in a documented exit code -----------------------
+
+#: Variables, constants, every operator spelling, parentheses and spaces.
+PIECES = (
+    "x", "y", "z", "0", "1", "F", "T", "t", "f",
+    "!", "&", "|", "^", "nand", "NOR", "->", "<-", "!->", "!<-", "<->", "maj",
+    "¬", "∧", "∨", "⊕", "⇒", "⇐", "≡", "(", ")", ",", " ", "  ",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(PIECES), max_size=14).map("".join),
+        formulas(max_leaves=6).map(format_formula),  # mostly well formed
+    ),
+    st.text("01", max_size=4),
+)
+def test_any_formula_text_exits_0_2_or_3(text, bits):
+    commands = (
+        (["table"], []), (["poly"], []), (["poly", "--canonical"], []),
+        (["observable"], []), (["eval"], [bits]), (["expect"], ["uniform"]),
+    )
+    for command, tail in commands:
+        for output in ("text", "structured"):
+            # "--" keeps text such as "->x" from reading as an option.
+            argv = [*command, "--output", output, "--", text, *tail]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, err.getvalue())
+            if code:
+                assert out.getvalue() == ""
+            elif output == "structured":
+                lines = out.getvalue().split("\n")
+                assert len(lines) == 2 and lines[1] == ""
+                assert json.loads(lines[0])["command"] == command[0]

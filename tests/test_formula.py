@@ -150,6 +150,39 @@ def test_walkers_refuse_trees_nested_past_the_recursion_limit():
             call()
 
 
+def test_deep_trees_compare_hash_and_repr():
+    text = "x" + " nand x" * 799
+    a, b = parse(text), parse(text)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert repr(a).startswith("App(op=<Connective.NAND: 'nand'>, operands=(App(")
+    assert repr(a).count("Var(name='x')") == 800
+    assert a != parse("x" + " nand x" * 798)
+    deep = Var("x")
+    for _ in range(5000):
+        deep = Not(deep)
+    assert deep == Not(deep.operand) and hash(deep) == hash(Not(deep.operand))
+    assert repr(deep) == "Not(operand=" * 5000 + "Var(name='x')" + ")" * 5000
+
+
+def test_node_equality_hash_and_repr_are_structural():
+    f = parse("!x & maj(y, T, z -> x)")
+    assert repr(f) == (
+        "App(op=<Connective.AND: '&'>, operands=(Not(operand=Var(name='x')), "
+        "App(op=<Connective.MAJ: 'maj'>, operands=(Var(name='y'), Const(value=1), "
+        "App(op=<Connective.IMPLIES: '->'>, operands=(Var(name='z'), Var(name='x')))"
+        "))))"
+    )
+    same = App(AND, (Not(Var("x")), parse("maj(y, 1, z -> x)")))
+    assert f == same and hash(f) == hash(same)
+    assert len({f, same, parse("x & y"), parse("x & y")}) == 2
+    assert parse("x & y") != parse("x | y")  # the connective counts
+    assert parse("x & y & z") != parse("(x & y) & z")  # so does the shape
+    assert parse("!x") != Var("x") and parse("!x") != "!x"
+    assert App(AND, (Var("x"), Const(True))) == App(AND, (Var("x"), Const(1)))
+
+
 def test_parse_error_unknown_character():
     with pytest.raises(ParseError) as excinfo:
         parse("x @ y")
