@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
 from itertools import repeat
 
-from . import multilinear, operators, states, verify
+from . import multilinear, operators, states
 from .errors import DomainError, InvariantViolation, ParseError
 from .formula import Formula, VariableOrder, format_formula, parse, variables
 from .operators import DENSE_CAP
@@ -132,6 +131,8 @@ def _emit(args, payload, lines) -> None:
     """Print the form ``--output`` asks for, building only that one:
     ``payload()`` as one compact JSON line, or each of ``lines()``."""
     if args.output == "structured":
+        import json  # text mode starts without it
+
         # The payloads are trees, so the encoder need not track cycles.
         print(json.dumps(payload(), check_circular=False))
     else:
@@ -306,7 +307,7 @@ def _cmd_index(args) -> int:
             raise DomainError(
                 f"expected a truth-vector bit string, got {args.value!r}"
             )
-        tv = TruthVector.from_bits(int(ch) for ch in text)
+        tv = TruthVector.from_bits(text)
         result_lines = [str(tv.function_index)]
     else:
         try:
@@ -329,6 +330,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # only this command runs the suite
+
     results = verify.run_suite(args.arity)
     passed = all(r.passed for r in results)
 

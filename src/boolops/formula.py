@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from typing import NamedTuple
 
+from ._value import Value
 from .errors import DomainError, ParseError, UnboundVariableError
 
 
@@ -126,7 +126,7 @@ IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"f", "t", "nand", "nor", "maj"})
 
 
-class Formula:
+class Formula(Value):
     """Base class for formula nodes.  Instances are immutable and hashable."""
 
     __slots__ = ()
@@ -147,34 +147,34 @@ class Formula:
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Formula):
     """Logical constant, 0 for false and 1 for true."""
 
-    value: int
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self):
-        if self.value not in (0, 1):
-            raise ValueError(f"constant must be 0 or 1, got {self.value!r}")
+    def __init__(self, value: int):
+        if value not in (0, 1):
+            raise ValueError(f"constant must be 0 or 1, got {value!r}")
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Formula):
     """Reference to a named atomic proposition."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not IDENTIFIER_RE.match(self.name):
-            raise ValueError(f"invalid variable name {self.name!r}")
-        if self.name.lower() in RESERVED_WORDS:
-            raise ValueError(f"variable name {self.name!r} is a reserved word")
+    def __init__(self, name: str):
+        if not isinstance(name, str) or not IDENTIFIER_RE.match(name):
+            raise ValueError(f"invalid variable name {name!r}")
+        if name.lower() in RESERVED_WORDS:
+            raise ValueError(f"variable name {name!r} is a reserved word")
+        object.__setattr__(self, "name", name)
 
 
 class _Node(Formula):
     """An inner node.  Equality, hashing and ``repr`` walk the tree with an
     explicit stack, so they work at any depth the parser builds; they mean
-    what the dataclass-generated methods mean, field by field."""
+    what :class:`Value`'s methods mean, field by field."""
 
     __slots__ = ()
 
@@ -190,29 +190,31 @@ class _Node(Formula):
         return _repr(self)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(_Node):
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class App(_Node):
     """Application of a connective to a tuple of operand formulas."""
 
-    op: Connective
-    operands: tuple[Formula, ...]
+    __slots__ = __match_args__ = ("op", "operands")
 
-    def __post_init__(self):
-        object.__setattr__(self, "operands", tuple(self.operands))
-        k = len(self.operands)
-        if self.op in BINARY_ONLY:
+    def __init__(self, op: Connective, operands: tuple[Formula, ...]):
+        operands = tuple(operands)
+        k = len(operands)
+        if op in BINARY_ONLY:
             if k != 2:
-                raise ValueError(f"{self.op.name} takes exactly 2 operands, got {k}")
-        elif self.op is Connective.MAJ:
+                raise ValueError(f"{op.name} takes exactly 2 operands, got {k}")
+        elif op is Connective.MAJ:
             if k != 3:
                 raise ValueError(f"MAJ takes exactly 3 operands, got {k}")
         elif k < 2:
-            raise ValueError(f"{self.op.name} takes at least 2 operands, got {k}")
+            raise ValueError(f"{op.name} takes at least 2 operands, got {k}")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "operands", operands)
 
 
 def _preorder(f: Formula) -> list:
@@ -240,7 +242,7 @@ class _Text(str):
 
 
 def _repr(f: Formula) -> str:
-    """``repr`` as the dataclasses print it, e.g.
+    """``repr`` as :class:`Value` prints it, e.g.
     ``Not(operand=Var(name='x'))``, built from an explicit stack of nodes
     and literal text."""
     out, stack = [], [f]
@@ -261,20 +263,20 @@ def _repr(f: Formula) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True, slots=True)
-class VariableOrder:
+class VariableOrder(Value):
     """Ordered distinct variable names; position 0 is the most significant
     argument (leftmost Kronecker factor downstream)."""
 
-    names: tuple[str, ...]
+    __slots__ = __match_args__ = ("names",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names in {self.names!r}")
-        for name in self.names:
+    def __init__(self, names: tuple[str, ...]):
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names in {names!r}")
+        for name in names:
             if not IDENTIFIER_RE.match(name) or name.lower() in RESERVED_WORDS:
                 raise ValueError(f"invalid variable name {name!r}")
+        object.__setattr__(self, "names", names)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -331,12 +333,16 @@ _MULTI_CHAR_OPS = ("!->", "!<-", "<->", "->", "<-")
 _SINGLE_CHAR_TOKENS = frozenset("!&^|(),")
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # operator/punctuation text, or "ident", "const", "maj", "end"
-    text: str
-    pos: int  # 1-based character offset
-    value: int = 0  # constant value when kind == "const"
+class _Token(Value):
+    __slots__ = __match_args__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int, value: int = 0):
+        # kind: operator/punctuation text, or "ident", "const", "maj", "end";
+        # pos: 1-based character offset; value: the constant when "const".
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "value", value)
 
 
 def _tokenize(text: str) -> list[_Token]:

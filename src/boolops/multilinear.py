@@ -14,13 +14,12 @@ All arithmetic is exact: integer coefficients throughout, and
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import compress, repeat
 from operator import add, and_, index as _int, or_, rshift, sub
 from types import MappingProxyType
 
+from ._value import Value
 from .errors import (
     ArityCapError,
     ArityMismatchError,
@@ -424,21 +423,27 @@ def format_canonical(tv: TruthVector, names=None) -> str:
 # --------------------------------------------------------------------------
 # Univariate interpolation bases
 
-@dataclass(frozen=True, slots=True)
-class LagrangeBasis:
+class LagrangeBasis(Value):
     """Interpolation basis polynomial: 1 at ``points[index]``, 0 at the
     other points.  ``coeffs`` are ascending-degree rational coefficients;
     the degree is one less than the number of points."""
 
-    points: tuple[Fraction, ...]
-    index: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("points", "index", "coeffs")
+
+    def __init__(
+        self, points: tuple[Fraction, ...], index: int, coeffs: tuple[Fraction, ...]
+    ):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def evaluate(self, x) -> Fraction:
+        from fractions import Fraction  # loaded only by the rational bases
+
         x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -451,6 +456,8 @@ def lagrange_basis(points, index: int) -> LagrangeBasis:
 
     For the points {0, 1} the two bases are exactly ``1 - x`` and ``x``.
     """
+    from fractions import Fraction  # loaded only by the rational bases
+
     pts = tuple(Fraction(p) for p in points)
     if len(set(pts)) != len(pts):
         raise DomainError(f"interpolation points must be distinct, got {points!r}")

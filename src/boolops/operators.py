@@ -13,9 +13,9 @@ exact Python integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index as _int
 
+from ._value import Value
 from .errors import (
     ArityCapError,
     ArityMismatchError,
@@ -215,13 +215,21 @@ def trace_select(f: DiagonalOperator, itp: Interpretation) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class VonNeumannReport:
+class VonNeumannReport(Value):
     """Outcome of the projector sum/difference/product rules for one pair."""
 
-    commute: bool
-    sum_is_projector: bool
-    difference_is_projector: bool
+    __slots__ = __match_args__ = (
+        "commute",
+        "sum_is_projector",
+        "difference_is_projector",
+    )
+
+    def __init__(
+        self, commute: bool, sum_is_projector: bool, difference_is_projector: bool
+    ):
+        object.__setattr__(self, "commute", commute)
+        object.__setattr__(self, "sum_is_projector", sum_is_projector)
+        object.__setattr__(self, "difference_is_projector", difference_is_projector)
 
 
 def _matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 
+from ._value import Value
 from .errors import ArityMismatchError, DomainError
 from .operators import DiagonalOperator, trace_select
 from .truthtable import Interpretation
@@ -24,25 +24,30 @@ INPUT_NORM_TOL = 1e-6
 _real, _imag = attrgetter("real"), attrgetter("imag")
 
 
-@dataclass(frozen=True, slots=True)
-class InterpretationState:
+class InterpretationState(Value):
     """Normalized amplitudes over the 2**arity interpretation basis.
 
     ``input_normalized`` records whether the amplitudes this state was
     built from already had unit norm.
     """
 
-    arity: int
-    amplitudes: tuple[complex, ...]
-    input_normalized: bool = True
+    __slots__ = __match_args__ = ("arity", "amplitudes", "input_normalized")
 
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", tuple(map(complex, self.amplitudes)))
-        if len(self.amplitudes) != 1 << self.arity:
+    def __init__(
+        self,
+        arity: int,
+        amplitudes: tuple[complex, ...],
+        input_normalized: bool = True,
+    ):
+        amplitudes = tuple(map(complex, amplitudes))
+        if len(amplitudes) != 1 << arity:
             raise ArityMismatchError(
-                f"expected {1 << self.arity} amplitudes for arity {self.arity}, "
-                f"got {len(self.amplitudes)}"
+                f"expected {1 << arity} amplitudes for arity {arity}, "
+                f"got {len(amplitudes)}"
             )
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "input_normalized", input_normalized)
         if abs(self.norm_squared() - 1.0) > NORM_TOL:
             raise DomainError("state amplitudes are not normalized")
 

@@ -9,9 +9,9 @@ number 14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 
+from ._value import Value
 from .errors import (
     ArityCapError,
     ArityMismatchError,
@@ -46,14 +46,13 @@ def _rows_of_mask(mask: int, rows: int) -> tuple[int, ...]:
     return tuple(text.encode("ascii").translate(_DIGIT_VALUES))
 
 
-@dataclass(frozen=True, slots=True)
-class Interpretation:
+class Interpretation(Value):
     """One assignment of truth values, one bit per variable position."""
 
-    bits: tuple[int, ...]
+    __slots__ = __match_args__ = ("bits",)
 
-    def __post_init__(self):
-        bits = tuple(self.bits)
+    def __init__(self, bits: tuple[int, ...]):
+        bits = tuple(bits)
         if not _bits_valid(bits):
             raise DomainError(f"assignment bits must be 0/1, got {bits!r}")
         object.__setattr__(self, "bits", tuple(map(int, bits)))
@@ -79,29 +78,30 @@ class Interpretation:
         return "".join(map(str, self.bits))
 
 
-@dataclass(frozen=True, slots=True)
-class TruthVector:
+class TruthVector(Value):
     """Complete truth table of an ``arity``-argument function, row order."""
 
-    arity: int
-    bits: tuple[int, ...] = field()
+    __slots__ = __match_args__ = ("arity", "bits")
 
-    def __post_init__(self):
-        bits = tuple(self.bits)
-        if self.arity < 0:
-            raise DomainError(f"arity must be >= 0, got {self.arity}")
-        if len(bits) != 1 << self.arity:
+    def __init__(self, arity: int, bits: tuple[int, ...]):
+        bits = tuple(bits)
+        if arity < 0:
+            raise DomainError(f"arity must be >= 0, got {arity}")
+        if len(bits) != 1 << arity:
             raise DomainError(
-                f"expected {1 << self.arity} rows for arity {self.arity}, "
-                f"got {len(bits)}"
+                f"expected {1 << arity} rows for arity {arity}, got {len(bits)}"
             )
         if not _bits_valid(bits):
             raise DomainError("truth vector entries must be 0 or 1")
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     @classmethod
     def from_bits(cls, bits) -> "TruthVector":
-        bits = tuple(int(b) for b in bits)
+        """Truth vector of the 2**n entries ``bits``, e.g. the string
+        ``"0111"``; digit strings become ints, other entries are checked
+        as given."""
+        bits = tuple(int(b) if isinstance(b, str) else b for b in bits)
         n = len(bits).bit_length() - 1
         if len(bits) != 1 << n:
             raise DomainError(f"length {len(bits)} is not a power of two")

@@ -10,9 +10,9 @@ everything else uses the exact diagonal and polynomial routes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import multilinear, operators
+from ._value import Value
 from .errors import DomainError
 from .formula import Connective, VariableOrder, parse, variables
 from .operators import DiagonalOperator, rank1_projector
@@ -68,17 +68,22 @@ def _substitute_projectors(p: multilinear.MultilinearPoly) -> DiagonalOperator:
     return acc
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Value):
+    __slots__ = __match_args__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass
 class _Suite:
-    arity: int
-    results: list[CheckResult] = field(default_factory=list)
+    """The results of the checks run so far, in order."""
+
+    __slots__ = ("results",)
+
+    def __init__(self):
+        self.results: list[CheckResult] = []
 
     def check(self, name: str):
         def run(fn):
@@ -105,7 +110,7 @@ def run_suite(arity: int, *, quadruples: int = 1000, seed: int = 20210) -> list[
     count = 1 << size
     tvs = [TruthVector.from_index(n, i) for i in range(count)]
     observables = [operators.from_truth_vector(tv) for tv in tvs]
-    suite = _Suite(n)
+    suite = _Suite()
 
     @suite.check("function enumeration")
     def _():

@@ -146,14 +146,21 @@ def test_deep_nesting_exits_without_traceback(text, ok):
 
 
 def test_import_leaves_numpy_unloaded():
+    # The modules a fresh `import boolops.cli` adds: only the commands that
+    # use numpy, dataclasses, fractions, json or the verify suite load them.
     src = Path(boolops.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, boolops.cli; sys.exit('numpy' in sys.modules)"],
+         "import sys; before = set(sys.modules); import boolops.cli; "
+         "print(' '.join(sorted(set(sys.modules) - before)))"],
         env=dict(os.environ, PYTHONPATH=str(src)),
-        timeout=60,
+        capture_output=True, encoding="utf-8", timeout=60,
     )
-    assert result.returncode == 0
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "numpy" not in added
+    assert not added & {"dataclasses", "fractions", "json", "boolops.verify"}
+    assert {"boolops.multilinear", "boolops.operators", "boolops.states"} <= added
 
 
 def test_eval_and_expect_constant_formula(capsys):

@@ -169,6 +169,17 @@ def test_from_bits_rejects_non_power_of_two():
         TruthVector.from_bits((0, 1, 1))
 
 
+def test_from_bits_checks_entries_as_the_constructor_does():
+    # Only digit strings are converted; a fraction is rejected, not truncated.
+    for bits in ([1.5, 0], (0, 1, 1, 2), "0102"):
+        with pytest.raises(DomainError):
+            TruthVector.from_bits(bits)
+    with pytest.raises(DomainError):
+        TruthVector(1, [1.5, 0])
+    assert TruthVector.from_bits("0111").function_index == 14
+    assert TruthVector.from_bits(["0", "1"]) == TruthVector.from_bits([0, True])
+
+
 @given(formulas(kary_duals=True))
 def test_eval_agrees_with_truth_vector_rows(f):
     order = variables(f)
