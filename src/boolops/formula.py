@@ -1,7 +1,7 @@
 """Propositional formulas: syntax tree, connective table, parser, and
 canonical printer.
 
-The concrete grammar, loosest binding last::
+The concrete grammar, loosest binding first::
 
     formula := iff
     iff     := imp ( "<->" imp )*
@@ -14,6 +14,8 @@ The concrete grammar, loosest binding last::
              | "maj" "(" formula "," formula "," formula ")"
              | "(" formula ")"
 
+An infix operator binds as strongly as its connective's ``level`` in
+:data:`CONNECTIVES`; the grammar above spells those levels out.
 Runs of "&", "^" and "|" are flattened into a single k-ary node, so
 ``x & y & z`` is one conjunction over three operands while
 ``(x & y) & z`` keeps its nesting.  ``nand``/``nor`` chains associate to
@@ -36,7 +38,7 @@ from functools import reduce
 from typing import NamedTuple
 
 from ._value import Value
-from .errors import DomainError, ParseError, UnboundVariableError
+from .errors import ParseError, UnboundVariableError
 
 
 class Connective(Enum):
@@ -69,7 +71,11 @@ BINARY_ONLY = frozenset(
 #: Connectives whose parse-level chains collapse into one k-ary node.
 FLATTENED = frozenset({Connective.AND, Connective.OR, Connective.XOR})
 
-# Printer binding strength; atoms bind tightest.
+#: The implications: ``a -> b -> c`` does not parse, so printing wraps both
+#: operands of these when they bind no more strongly.
+_NON_ASSOCIATIVE = BINARY_ONLY - {Connective.EQUIV}
+
+# Binding strength of negations and atoms, which bind tightest.
 _LEVEL_ATOM = 6
 _LEVEL_NOT = 5
 
@@ -90,7 +96,7 @@ class Algebra(NamedTuple):
 
 
 class ConnectiveRow(NamedTuple):
-    level: int  # printer binding strength
+    level: int  # binding strength, read by the parser and the printer
     meaning: Callable  # (algebra, operand values) -> value
 
 
@@ -173,21 +179,21 @@ class Var(Formula):
 
 class _Node(Formula):
     """An inner node.  Equality, hashing and ``repr`` walk the tree with an
-    explicit stack, so they work at any depth the parser builds; they mean
-    what :class:`Value`'s methods mean, field by field."""
+    explicit stack, so they work at any depth; they mean what
+    :class:`Value`'s methods mean, field by field."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return _preorder(self) == _preorder(other)
+        return _shape(self) == _shape(other)
 
     def __hash__(self):
-        return hash(tuple(_preorder(self)))
+        return hash(tuple(_shape(self)))
 
     def __repr__(self):
-        return _repr(self)
+        return _write(self, _repr_parts)
 
 
 class Not(_Node):
@@ -217,50 +223,59 @@ class App(_Node):
         object.__setattr__(self, "operands", operands)
 
 
-def _preorder(f: Formula) -> list:
-    """The tree as a token list in pre-order: ``Not`` for a negation,
-    ``(op, operand count)`` for an application, leaves as themselves.  The
-    list determines the tree, so two trees are equal iff their lists are."""
-    tokens, stack = [], [f]
-    while stack:
+def postorder(f: Formula) -> list[Formula]:
+    """Every node of ``f``, each after its operands, operands left to
+    right; leaves therefore come in text order."""
+    nodes, stack = [], [f]
+    while stack:  # pre-order with operands right to left, reversed below
         g = stack.pop()
+        nodes.append(g)
         if g.__class__ is Not:
-            tokens.append(Not)
             stack.append(g.operand)
         elif g.__class__ is App:
-            tokens.append((g.op, len(g.operands)))
-            stack.extend(reversed(g.operands))
-        else:
-            tokens.append(g)
-    return tokens
+            stack.extend(g.operands)
+    nodes.reverse()
+    return nodes
 
 
-class _Text(str):
-    """Literal output on :func:`_repr`'s stack, told apart from nodes."""
+def _shape(f: Formula) -> list:
+    """The tree as a token list in post-order: ``Not`` for a negation,
+    ``(op, operand count)`` for an application, leaves as themselves.  The
+    list determines the tree, so two trees are equal iff their lists are."""
+    return [
+        (g.op, len(g.operands)) if g.__class__ is App
+        else Not if g.__class__ is Not
+        else g
+        for g in postorder(f)
+    ]
 
-    __slots__ = ()
 
-
-def _repr(f: Formula) -> str:
-    """``repr`` as :class:`Value` prints it, e.g.
-    ``Not(operand=Var(name='x'))``, built from an explicit stack of nodes
-    and literal text."""
+def _write(f: Formula, parts: Callable) -> str:
+    """Text of ``f``, where ``parts(node)`` lists the node's text as
+    literal strings and child nodes.  One explicit stack expands the
+    nodes; the output is joined once, so any depth takes linear time."""
     out, stack = [], [f]
     while stack:
-        g = stack.pop()
-        if g.__class__ is _Text:
-            out.append(g)
-        elif g.__class__ is Not:
-            out.append("Not(operand=")
-            stack += [_Text(")"), g.operand]
-        elif g.__class__ is App:
-            out.append(f"App(op={g.op!r}, operands=(")
-            stack.append(_Text(",))" if len(g.operands) == 1 else "))"))
-            for i, child in enumerate(reversed(g.operands)):
-                stack += [_Text(", "), child] if i else [child]
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
         else:
-            out.append(repr(g))
+            stack.extend(reversed(parts(item)))
     return "".join(out)
+
+
+def _repr_parts(g: Formula) -> list:
+    """``repr`` as :class:`Value` prints it, e.g.
+    ``Not(operand=Var(name='x'))``."""
+    if g.__class__ is Not:
+        return ["Not(operand=", g.operand, ")"]
+    if g.__class__ is App:
+        parts = [f"App(op={g.op!r}, operands=(", g.operands[0]]
+        for child in g.operands[1:]:
+            parts += [", ", child]
+        parts.append("))")
+        return parts
+    return [repr(g)]
 
 
 class VariableOrder(Value):
@@ -271,11 +286,15 @@ class VariableOrder(Value):
 
     def __init__(self, names: tuple[str, ...]):
         names = tuple(names)
+        for name in names:
+            if (
+                not isinstance(name, str)
+                or not IDENTIFIER_RE.match(name)
+                or name.lower() in RESERVED_WORDS
+            ):
+                raise ValueError(f"invalid variable name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names!r}")
-        for name in names:
-            if not IDENTIFIER_RE.match(name) or name.lower() in RESERVED_WORDS:
-                raise ValueError(f"invalid variable name {name!r}")
         object.__setattr__(self, "names", names)
 
     def __len__(self) -> int:
@@ -297,22 +316,9 @@ class VariableOrder(Value):
 def variables(f: Formula) -> VariableOrder:
     """Distinct variable names in order of first occurrence, pre-order
     left to right.  Constant formulas yield the empty order."""
-    seen: dict[str, None] = {}
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Var):
-            seen.setdefault(g.name)
-        elif isinstance(g, Not):
-            walk(g.operand)
-        elif isinstance(g, App):
-            for child in g.operands:
-                walk(child)
-
-    try:
-        walk(f)
-    except RecursionError:
-        raise DomainError("formula nested too deeply to list its variables") from None
-    return VariableOrder(tuple(seen))
+    return VariableOrder(
+        tuple(dict.fromkeys(g.name for g in postorder(f) if g.__class__ is Var))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -396,159 +402,119 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # --------------------------------------------------------------------------
-# Recursive-descent parser
+# Operator-precedence parser
 
 _ATOM_EXPECTED = frozenset(
     {"identifier", "'0'", "'1'", "'F'", "'T'", "'maj'", "'('", "'!'"}
 )
-_INFIX_EXPECTED = frozenset(
-    {
-        "'&'",
-        "'nand'",
-        "'^'",
-        "'|'",
-        "'nor'",
-        "'->'",
-        "'<-'",
-        "'!->'",
-        "'!<-'",
-        "'<->'",
-        "end of input",
-    }
-)
-
-_IMPLICATION_TOKENS = {
-    "->": Connective.IMPLIES,
-    "<-": Connective.CONVERSE_IMPLIES,
-    "!->": Connective.NON_IMPLIES,
-    "!<-": Connective.CONVERSE_NON_IMPLIES,
-}
+#: Infix token kind -> its connective, whose ``level`` in :data:`CONNECTIVES`
+#: is its binding strength.
+_INFIX = {op.value: op for op in CONNECTIVES if op is not Connective.MAJ}
+_INFIX_EXPECTED = frozenset({f"'{kind}'" for kind in _INFIX} | {"end of input"})
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._i = 0
+def _unexpected(tok: _Token, expected) -> ParseError:
+    return ParseError(f"unexpected {tok.text!r}", tok.pos, expected=expected)
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._i]
 
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._i]
-        self._i += 1
-        return tok
-
-    def _expect(self, kind: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {tok.text!r}", tok.pos, expected={f"'{kind}'"}
-            )
-        return self._advance()
-
-    def parse(self) -> Formula:
-        f = self._iff()
-        tok = self._peek()
-        if tok.kind != "end":
-            raise ParseError(
-                f"unexpected {tok.text!r}", tok.pos, expected=_INFIX_EXPECTED
-            )
-        return f
-
-    def _iff(self) -> Formula:
-        f = self._imp()
-        while self._peek().kind == "<->":
-            self._advance()
-            f = App(Connective.EQUIV, (f, self._imp()))
-        return f
-
-    def _imp(self) -> Formula:
-        f = self._or()
-        op = _IMPLICATION_TOKENS.get(self._peek().kind)
-        if op is not None:
-            self._advance()
-            # Non-associative: a second implication operator is left for the
-            # caller, which rejects it as an unexpected token.
-            f = App(op, (f, self._or()))
-        return f
-
-    def _or(self) -> Formula:
-        return self._chain(self._xor, {"|": Connective.OR, "nor": Connective.NOR})
-
-    def _xor(self) -> Formula:
-        return self._chain(self._and, {"^": Connective.XOR})
-
-    def _and(self) -> Formula:
-        return self._chain(self._unary, {"&": Connective.AND, "nand": Connective.NAND})
-
-    def _chain(self, sub, ops: dict[str, Connective]) -> Formula:
-        f = sub()
-        built: Connective | None = None  # connective of the node built here
-        while self._peek().kind in ops:
-            op = ops[self._peek().kind]
-            self._advance()
-            rhs = sub()
-            if built is op and op in FLATTENED:
-                assert isinstance(f, App)
-                f = App(op, f.operands + (rhs,))
-            else:
-                f = App(op, (f, rhs))
-            built = op
-        return f
-
-    def _unary(self) -> Formula:
-        if self._peek().kind == "!":
-            self._advance()
-            return Not(self._unary())
-        return self._atom()
-
-    def _atom(self) -> Formula:
-        tok = self._peek()
-        if tok.kind == "ident":
-            self._advance()
-            return Var(tok.text)
-        if tok.kind == "const":
-            self._advance()
-            return Const(tok.value)
-        if tok.kind == "maj":
-            self._advance()
-            self._expect("(")
-            a = self._iff()
-            self._expect(",")
-            b = self._iff()
-            self._expect(",")
-            c = self._iff()
-            self._expect(")")
-            return App(Connective.MAJ, (a, b, c))
-        if tok.kind == "(":
-            self._advance()
-            f = self._iff()
-            self._expect(")")
-            return f
-        raise ParseError(f"unexpected {tok.text!r}", tok.pos, expected=_ATOM_EXPECTED)
+def _after_operand(ops: list) -> set[str] | frozenset[str]:
+    """The expected set of an error after a complete operand: what closes
+    the innermost open ``(`` or ``maj(``, or at top level any infix
+    operator or the end."""
+    for entry in reversed(ops):
+        if entry == "(":
+            return {"')'"}
+        if entry.__class__ is int:
+            return {"','"} if entry < 2 else {"')'"}
+    return _INFIX_EXPECTED
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into its syntax tree.
 
-    Raises :class:`ParseError` with a 1-based column and the set of
-    acceptable tokens on any syntax error, and at the token where parsing
-    ran out of Python's recursion limit on too deeply nested text.
+    One pass over the tokens with an explicit operator stack (Dijkstra's
+    shunting-yard), so nesting depth is limited only by memory.  Raises
+    :class:`ParseError` with a 1-based column and the set of acceptable
+    tokens on any syntax error.
     """
     if not text or not text.strip():
         raise ParseError("empty formula", 1, expected=_ATOM_EXPECTED)
-    parser = _Parser(_tokenize(text))
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", parser._peek().pos) from None
+    tokens = _tokenize(text)
+    # Pending operators, innermost last: "!" awaiting its operand, a
+    # connective awaiting its right operand, "(" or, for an open "maj(",
+    # the number of its arguments already complete.
+    ops: list = []
+    # Left operands of pending connectives and complete arguments of open
+    # "maj(", each with the connective of the chain that built it.
+    operands: list[tuple[Formula, Connective | None]] = []
+    i = 0
+    while True:
+        # An operand is due: prefixes and openings, then an atom.
+        tok = tokens[i]
+        kind = tok.kind
+        i += 1
+        if kind == "ident":
+            f = Var(tok.text)
+        elif kind == "const":
+            f = Const(tok.value)
+        elif kind == "!" or kind == "(":
+            ops.append(kind)
+            continue
+        elif kind == "maj":
+            if tokens[i].kind != "(":
+                raise _unexpected(tokens[i], {"'('"})
+            ops.append(0)
+            i += 1
+            continue
+        else:
+            raise _unexpected(tok, _ATOM_EXPECTED)
+        built = None
+        # f is a complete operand: reduce what binds at least as strongly
+        # as the next token, and close frames, until an infix operator.
+        while True:
+            while ops and ops[-1] == "!":
+                ops.pop()
+                f = Not(f)
+            tok = tokens[i]
+            i += 1
+            op = _INFIX.get(tok.kind)
+            level = -1 if op is None else CONNECTIVES[op].level
+            while ops and ops[-1].__class__ is Connective:
+                top = ops[-1]
+                if CONNECTIVES[top].level < level:
+                    break
+                ops.pop()
+                if top in _NON_ASSOCIATIVE and op in _NON_ASSOCIATIVE:
+                    raise _unexpected(tok, _after_operand(ops))
+                lhs, lhs_built = operands.pop()
+                if lhs_built is top and top in FLATTENED:
+                    f = App(top, lhs.operands + (f,))
+                else:
+                    f = App(top, (lhs, f))
+                built = top
+            if op is not None:
+                operands.append((f, built))
+                ops.append(op)
+                break
+            frame = ops[-1] if ops else None
+            if tok.kind == ")" and (frame == "(" or frame == 2):
+                ops.pop()
+                if frame == 2:
+                    (b, _), (a, _) = operands.pop(), operands.pop()
+                    f = App(Connective.MAJ, (a, b, f))
+                built = None
+            elif tok.kind == "," and (frame == 0 or frame == 1):
+                ops[-1] = frame + 1
+                operands.append((f, None))
+                break
+            elif tok.kind == "end" and frame is None:
+                return f
+            else:
+                raise _unexpected(tok, _after_operand(ops))
 
 
 # --------------------------------------------------------------------------
 # Canonical printer
-
-_NON_ASSOCIATIVE = BINARY_ONLY - {Connective.EQUIV}
-
 
 def _level(f: Formula) -> int:
     if isinstance(f, Not):
@@ -568,40 +534,37 @@ def format_formula(f: Formula) -> str:
     which no infix chain can reproduce (chains parse left-nested); it
     prints as the equivalent negated conjunction/disjunction.
     """
-    try:
-        return _format(f)
-    except RecursionError:
-        raise DomainError("formula nested too deeply to print") from None
+    return _write(f, _format_parts)
 
 
-def _format(f: Formula) -> str:
+def _format_parts(f: Formula) -> list:
     if isinstance(f, Const):
-        return str(f.value)
+        return [str(f.value)]
     if isinstance(f, Var):
-        return f.name
+        return [f.name]
     if isinstance(f, Not):
-        inner = _format(f.operand)
         if _level(f.operand) < _LEVEL_NOT:
-            inner = f"({inner})"
-        return f"!{inner}"
+            return ["!(", f.operand, ")"]
+        return ["!", f.operand]
     assert isinstance(f, App)
     if f.op is Connective.MAJ:
-        return "maj(" + ", ".join(_format(g) for g in f.operands) + ")"
+        a, b, c = f.operands
+        return ["maj(", a, ", ", b, ", ", c, ")"]
     if f.op in (Connective.NAND, Connective.NOR) and len(f.operands) > 2:
         dual = Connective.AND if f.op is Connective.NAND else Connective.OR
-        return f"!({_format(App(dual, f.operands))})"
+        return ["!(", App(dual, f.operands), ")"]
     level = CONNECTIVES[f.op].level
+    sep = f" {f.op.value} "
     parts = []
     for i, child in enumerate(f.operands):
-        text = _format(child)
         lv = _level(child)
-        if f.op in _NON_ASSOCIATIVE:
+        if i or f.op in _NON_ASSOCIATIVE:
             wrap = lv <= level
-        elif i == 0:
+        else:  # the left operand of a left-associative chain
             wrap = lv < level or (
                 isinstance(child, App) and child.op is f.op and f.op in FLATTENED
             )
-        else:
-            wrap = lv <= level
-        parts.append(f"({text})" if wrap else text)
-    return f" {f.op.value} ".join(parts)
+        if i:
+            parts.append(sep)
+        parts += ["(", child, ")"] if wrap else [child]
+    return parts

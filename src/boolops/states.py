@@ -39,6 +39,8 @@ class InterpretationState(Value):
         amplitudes: tuple[complex, ...],
         input_normalized: bool = True,
     ):
+        if arity < 0:
+            raise DomainError(f"arity must be >= 0, got {arity}")
         amplitudes = tuple(map(complex, amplitudes))
         if len(amplitudes) != 1 << arity:
             raise ArityMismatchError(
@@ -76,6 +78,8 @@ def from_amplitudes(arity: int, amplitudes) -> InterpretationState:
     Raises on a zero vector, a non-finite component or a length other
     than 2**arity.
     """
+    if arity < 0:
+        raise DomainError(f"arity must be >= 0, got {arity}")
     items = tuple(amplitudes)
     try:
         amps = tuple(map(complex, items))

@@ -18,7 +18,7 @@ from .errors import (
     DomainError,
     UnboundVariableError,
 )
-from .formula import Algebra, App, Const, Formula, Not, Var, VariableOrder, variables
+from .formula import Algebra, App, Formula, Not, Var, VariableOrder, postorder, variables
 
 #: Enumerating a table above this arity (2**24 rows) is refused by default.
 ARITY_CAP = 24
@@ -103,7 +103,7 @@ class TruthVector(Value):
         as given."""
         bits = tuple(int(b) if isinstance(b, str) else b for b in bits)
         n = len(bits).bit_length() - 1
-        if len(bits) != 1 << n:
+        if n < 0 or len(bits) != 1 << n:
             raise DomainError(f"length {len(bits)} is not a power of two")
         return cls(n, bits)
 
@@ -140,24 +140,23 @@ def _evaluate(f: Formula, columns: dict[str, int], full: int) -> int:
     algebra = Algebra(
         neg=lambda a: full ^ a, and_=int.__and__, or_=int.__or__, xor=int.__xor__
     )
-
-    def ev(g: Formula) -> int:
-        if isinstance(g, Const):
-            return full if g.value else 0
-        if isinstance(g, Var):
+    values: list[int] = []  # one per finished subtree, leftmost first
+    for g in postorder(f):
+        if g.__class__ is App:
+            k = len(g.operands)
+            args = values[-k:]
+            del values[-k:]
+            values.append(algebra.apply(g.op, args))
+        elif g.__class__ is Not:
+            values.append(algebra.neg(values.pop()))
+        elif g.__class__ is Var:
             try:
-                return columns[g.name]
+                values.append(columns[g.name])
             except KeyError:
                 raise UnboundVariableError(g.name) from None
-        if isinstance(g, Not):
-            return algebra.neg(ev(g.operand))
-        assert isinstance(g, App)
-        return algebra.apply(g.op, [ev(child) for child in g.operands])
-
-    try:
-        return ev(f)
-    except RecursionError:
-        raise DomainError("formula nested too deeply to evaluate") from None
+        else:
+            values.append(full if g.value else 0)
+    return values.pop()
 
 
 def eval_formula(f: Formula, order: VariableOrder, itp: Interpretation) -> int:

@@ -116,19 +116,19 @@ def test_table_function_index_past_4300_digits(capsys):
 
 
 @pytest.mark.parametrize(
-    "text, ok",
+    "text, value",
     [
-        ("(" * 100 + "x" + ")" * 100, False),
-        ("!" * 1000 + "x", False),
-        ("x" + " nand x" * 799, False),
-        ("(" * 90 + "x" + ")" * 90, True),
-        ("!" * 900 + "x", True),
-        ("x" + " nand x" * 399, True),
+        ("(" * 100 + "x" + ")" * 100, "1"),
+        ("!" * 1000 + "x", "1"),
+        ("x" + " nand x" * 799, "0"),
+        ("(" * 90 + "x" + ")" * 90, "1"),
+        ("!" * 900 + "x", "1"),
+        ("x" + " nand x" * 399, "0"),
     ],
     ids=["parens-100", "not-1000", "nand-800", "parens-90", "not-900", "nand-400"],
 )
-def test_deep_nesting_exits_without_traceback(text, ok):
-    # A fresh process, so the stack depth is the command line's, not pytest's.
+def test_deep_nesting_exits_without_traceback(text, value):
+    # A fresh process: the command line as a user runs it.
     src = Path(boolops.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-m", "boolops.cli", "eval", text, "1"],
@@ -138,11 +138,25 @@ def test_deep_nesting_exits_without_traceback(text, ok):
         timeout=60,
     )
     assert "Traceback" not in result.stderr
-    if ok:
-        assert result.returncode == 0
-    else:
-        assert result.returncode in (2, 3)
-        assert "nested too deeply" in result.stderr
+    assert (result.returncode, result.stdout) == (0, value + "\n")
+
+
+def test_deep_formula_read_from_stdin():
+    # One argv string is capped at 128 KiB on Linux; "-" reads the formula
+    # from stdin instead.  x = 1 stays 1 under 10**5 negations and under
+    # an even number of "nand x" steps (1 nand 1 = 0, 0 nand 1 = 1).
+    n = 10**5
+    text = "(" * n + "!" * n + "x" + ")" * n + " nand x" * n
+    src = Path(boolops.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "boolops.cli", "eval", "-", "1"],
+        input=text,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
 
 
 def test_import_leaves_numpy_unloaded():

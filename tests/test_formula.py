@@ -1,7 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given
 
-from boolops.errors import DomainError, ParseError
+from boolops.errors import ParseError
 from boolops.formula import (
     App,
     Connective,
@@ -124,30 +126,90 @@ def test_parse_error_unbalanced_paren():
     assert "')'" in excinfo.value.expected
 
 
+ATOM = {"identifier", "'0'", "'1'", "'F'", "'T'", "'maj'", "'('", "'!'"}
+INFIX = {"'&'", "'nand'", "'^'", "'|'", "'nor'", "'->'", "'<-'", "'!->'", "'!<-'",
+         "'<->'", "end of input"}
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["!" * 5000 + "x", "(" * 2000 + "x" + ")" * 2000, "maj(x, y, " * 2000],
-    ids=["not-5000", "parens-2000", "maj-2000"],
+    "text, message, position, expected",
+    [
+        ("", "empty formula", 1, ATOM),
+        ("x &", "unexpected 'end of input'", 4, ATOM),
+        ("x & & y", "unexpected '&'", 5, ATOM),
+        ("!", "unexpected 'end of input'", 2, ATOM),
+        ("x y", "unexpected 'y'", 3, INFIX),
+        ("x @ y", "unknown operator or character '@'", 3, {"operator", "identifier"}),
+        (")", "unexpected ')'", 1, ATOM),
+        ("x)", "unexpected ')'", 2, INFIX),
+        (",", "unexpected ','", 1, ATOM),
+        ("x , y", "unexpected ','", 3, INFIX),
+        ("(x y)", "unexpected 'y'", 4, {"')'"}),
+        ("(x | y", "unexpected 'end of input'", 7, {"')'"}),
+        ("(maj(a, b, c) x)", "unexpected 'x'", 15, {"')'"}),
+        ("maj x", "unexpected 'x'", 5, {"'('"}),
+        ("maj(", "unexpected 'end of input'", 5, ATOM),
+        ("maj(a b, c)", "unexpected 'b'", 7, {"','"}),
+        ("maj(a, b)", "unexpected ')'", 9, {"','"}),
+        ("maj(a, b, c", "unexpected 'end of input'", 12, {"')'"}),
+        ("maj(a, b, c, d)", "unexpected ','", 12, {"')'"}),
+        ("a -> b -> c", "unexpected '->'", 8, INFIX),
+        ("a <-> b -> c !<- d", "unexpected '!<-'", 14, INFIX),
+        ("(a -> b <- c)", "unexpected '<-'", 9, {"')'"}),
+        ("maj(a -> b !-> c, d, e)", "unexpected '!->'", 12, {"','"}),
+    ],
 )
-def test_parse_overflow_is_a_parse_error(text):
-    with pytest.raises(ParseError, match="nested too deeply"):
+def test_parse_error_reports(text, message, position, expected):
+    with pytest.raises(ParseError) as excinfo:
         parse(text)
+    assert str(excinfo.value) == f"{message} (column {position})"
+    assert excinfo.value.position == position
+    assert excinfo.value.expected == expected
 
 
-def test_walkers_refuse_trees_nested_past_the_recursion_limit():
+N = 10**5
+DEEP = {
+    "parens": ("(" * N + "x" + ")" * N, "01"),
+    "not": ("!" * (2 * N) + "x", "01"),
+    "nand": ("x" + " nand y" * (N - 1), "1110"),
+    "maj": ("maj(x, y, " * N + "z" + ")" * N, "00010111"),
+    "implies": ("x -> (" * N + "y" + ")" * N, "1101"),
+}
+
+
+@pytest.mark.parametrize("text, bits", DEEP.values(), ids=DEEP.keys())
+def test_deep_text_parses_prints_and_evaluates(text, bits):
+    f = parse(text)
+    g = parse(format_formula(f))
+    assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+    order = variables(f)
+    tv = truth_vector(f, order)
+    assert str(tv) == bits
+    last = Interpretation.from_index(len(order), len(bits) - 1)
+    assert eval_formula(f, order, last) == int(bits[-1])
+
+
+def test_unterminated_deep_maj_is_a_parse_error_at_the_end():
+    text = "maj(x, y, " * 2000
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == f"unexpected 'end of input' (column {len(text) + 1})"
+    assert excinfo.value.expected == ATOM
+
+
+def test_walkers_handle_trees_nested_to_any_depth():
+    # Three-operand NAND nodes, which no text denotes: they print as negated
+    # conjunctions, so the text reparses to another tree with the same table.
     deep = Var("x")
-    for _ in range(5000):
-        deep = Not(deep)
-    order = VariableOrder(("x",))
-    calls = [
-        lambda: variables(deep),
-        lambda: format_formula(deep),
-        lambda: truth_vector(deep, order),
-        lambda: eval_formula(deep, order, Interpretation((1,))),
-    ]
-    for call in calls:
-        with pytest.raises(DomainError, match="nested too deeply"):
-            call()
+    for _ in range(N):
+        deep = App(Connective.NAND, (deep, Var("y"), Const(1)))
+    order = VariableOrder(("x", "y"))
+    assert variables(deep) == order
+    text = format_formula(deep)
+    assert text.startswith("!(!(" * 2) and text.endswith(" & y & 1)")
+    tv = truth_vector(deep, order)
+    assert truth_vector(parse(text), order) == tv
+    assert eval_formula(deep, order, Interpretation((1, 1))) == tv.bits[3]
 
 
 def test_deep_trees_compare_hash_and_repr():
@@ -230,6 +292,15 @@ def test_variables_first_occurrence():
 def test_variable_order_rejects_duplicates():
     with pytest.raises(ValueError):
         VariableOrder(("x", "x"))
+
+
+@pytest.mark.parametrize(
+    "names", [("x", 1), (None,), (["x"],)], ids=["int", "None", "list"]
+)
+def test_variable_order_rejects_names_that_are_not_strings(names):
+    message = re.escape(f"invalid variable name {names[-1]!r}")
+    with pytest.raises(ValueError, match=message):
+        VariableOrder(names)
 
 
 def test_format_examples():

@@ -77,6 +77,14 @@ def test_from_amplitudes_rejects_non_finite(amps):
         from_amplitudes(1, amps)
 
 
+@pytest.mark.parametrize(
+    "make", [from_amplitudes, InterpretationState], ids=["from_amplitudes", "init"]
+)
+def test_negative_arity_is_a_domain_error(make):
+    with pytest.raises(DomainError, match="arity must be >= 0, got -1"):
+        make(-1, [1])
+
+
 def test_state_normalization_is_enforced():
     with pytest.raises(DomainError):
         InterpretationState(1, (1 + 0j, 1 + 0j))

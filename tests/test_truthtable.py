@@ -169,6 +169,12 @@ def test_from_bits_rejects_non_power_of_two():
         TruthVector.from_bits((0, 1, 1))
 
 
+@pytest.mark.parametrize("bits", [[], ""], ids=["list", "str"])
+def test_from_bits_of_no_rows_is_a_domain_error(bits):
+    with pytest.raises(DomainError, match="length 0 is not a power of two"):
+        TruthVector.from_bits(bits)
+
+
 def test_from_bits_checks_entries_as_the_constructor_does():
     # Only digit strings are converted; a fraction is rejected, not truncated.
     for bits in ([1.5, 0], (0, 1, 1, 2), "0102"):
