@@ -1,7 +1,8 @@
 """Command-line front end: parse, tabulate, compile, evaluate, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 domain
-error (arity caps, mismatched assignments, bad amplitudes, ...).
+error (arity caps, mismatched assignments, bad amplitudes, ...), 141
+(128 + SIGPIPE) when the reader of standard output closes it early.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 from itertools import repeat
 
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -385,7 +388,16 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the final flush
+        return code
+    except BrokenPipeError:
+        # The reader left (e.g. `| head -1`).  Stop quietly; stdout points
+        # at devnull so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         if exc.expected:

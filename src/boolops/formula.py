@@ -13,6 +13,7 @@ The concrete grammar, loosest binding first::
     atom    := ident | "0" | "1" | "F" | "T"
              | "maj" "(" formula "," formula "," formula ")"
              | "(" formula ")"
+    ident   := [A-Za-z_][A-Za-z0-9_]*, except a keyword
 
 An infix operator binds as strongly as its connective's ``level`` in
 :data:`CONNECTIVES`; the grammar above spells those levels out.
@@ -21,8 +22,10 @@ Runs of "&", "^" and "|" are flattened into a single k-ary node, so
 ``(x & y) & z`` keeps its nesting.  ``nand``/``nor`` chains associate to
 the left without flattening.  The four implication operators are
 non-associative: chaining them without parentheses is a syntax error.
-Keywords (``F``, ``T``, ``nand``, ``nor``, ``maj``) are case-insensitive
-and reserved; they cannot be used as variable names.
+Operators are spelled as the values of :class:`Connective`.  Keywords
+(``F``, ``T``, ``nand``, ``nor``, ``maj``) are case-insensitive and
+reserved; they cannot be used as variable names.  Identifiers are ASCII:
+any character that starts no token is a :class:`ParseError` at its column.
 
 Unicode operator aliases are accepted on input only:
 ``¬`` ``∧`` ``∨`` ``⊕`` ``⇒`` ``⇐`` ``≡`` for
@@ -126,10 +129,40 @@ CONNECTIVES: dict[Connective, ConnectiveRow] = {
     Connective.MAJ: ConnectiveRow(_LEVEL_ATOM, _maj),
 }
 
-IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# --------------------------------------------------------------------------
+# Lexicon
 
-#: Lower-cased words that can never be variable names.
-RESERVED_WORDS = frozenset({"f", "t", "nand", "nor", "maj"})
+#: Token kind of every fixed spelling, words lower-cased: each connective
+#: and "!" "(" ")" "," stand for themselves, the Unicode aliases for their
+#: ASCII spellings, and the constants for their values.  The words among
+#: them are the keywords, which can never be variable names.
+_LEXICON = {
+    **{op.value: op.value for op in Connective},
+    **{s: s for s in "!(),"},
+    **{"¬": "!", "∧": "&", "∨": "|", "⊕": "^", "⇒": "->", "⇐": "<-", "≡": "<->"},
+    **{"0": 0, "1": 1, "f": 0, "t": 1},
+}
+
+#: One token at a time: whitespace, a symbol (longest first, so "!->" wins
+#: over "!" and "<->" over "<-"), a word, or a character no token starts with.
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)|(?P<symbol>%s)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<other>.)"
+    % "|".join(
+        re.escape(s)
+        for s in sorted(_LEXICON, key=len, reverse=True)
+        if not s.isalpha()
+    ),
+    re.DOTALL,
+)
+
+
+def _word_kind(name) -> str | int | None:
+    """The token kind of ``name`` if it is one word: "ident" or a keyword's
+    kind; None if it is not a word."""
+    m = _TOKEN_RE.fullmatch(name) if isinstance(name, str) else None
+    if m is None or m.lastgroup != "word":
+        return None
+    return _LEXICON.get(name.lower(), "ident")
 
 
 class Formula(Value):
@@ -170,9 +203,10 @@ class Var(Formula):
     __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str):
-        if not isinstance(name, str) or not IDENTIFIER_RE.match(name):
+        kind = _word_kind(name)
+        if kind is None:
             raise ValueError(f"invalid variable name {name!r}")
-        if name.lower() in RESERVED_WORDS:
+        if kind != "ident":
             raise ValueError(f"variable name {name!r} is a reserved word")
         object.__setattr__(self, "name", name)
 
@@ -287,11 +321,7 @@ class VariableOrder(Value):
     def __init__(self, names: tuple[str, ...]):
         names = tuple(names)
         for name in names:
-            if (
-                not isinstance(name, str)
-                or not IDENTIFIER_RE.match(name)
-                or name.lower() in RESERVED_WORDS
-            ):
+            if _word_kind(name) != "ident":
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names!r}")
@@ -324,80 +354,24 @@ def variables(f: Formula) -> VariableOrder:
 # --------------------------------------------------------------------------
 # Tokenizer
 
-_UNICODE_ALIASES = {
-    "¬": "!",
-    "∧": "&",
-    "∨": "|",
-    "⊕": "^",
-    "⇒": "->",
-    "⇐": "<-",
-    "≡": "<->",
-}
-
-# Longest first, so "!->" wins over "!" and "<->" over "<-".
-_MULTI_CHAR_OPS = ("!->", "!<-", "<->", "->", "<-")
-_SINGLE_CHAR_TOKENS = frozenset("!&^|(),")
-
-
-class _Token(Value):
-    __slots__ = __match_args__ = ("kind", "text", "pos", "value")
-
-    def __init__(self, kind: str, text: str, pos: int, value: int = 0):
-        # kind: operator/punctuation text, or "ident", "const", "maj", "end";
-        # pos: 1-based character offset; value: the constant when "const".
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "value", value)
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        pos = i + 1
-        if ch in _UNICODE_ALIASES:
-            tokens.append(_Token(_UNICODE_ALIASES[ch], ch, pos))
-            i += 1
-            continue
-        for sym in _MULTI_CHAR_OPS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, sym, pos))
-                i += len(sym)
-                break
-        else:
-            if ch in _SINGLE_CHAR_TOKENS:
-                tokens.append(_Token(ch, ch, pos))
-                i += 1
-            elif ch in "01":
-                tokens.append(_Token("const", ch, pos, value=int(ch)))
-                i += 1
-            elif ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                low = word.lower()
-                if low in ("nand", "nor", "maj"):
-                    tokens.append(_Token(low, word, pos))
-                elif low == "f":
-                    tokens.append(_Token("const", word, pos, value=0))
-                elif low == "t":
-                    tokens.append(_Token("const", word, pos, value=1))
-                else:
-                    tokens.append(_Token("ident", word, pos))
-                i = j
-            else:
-                raise ParseError(
-                    f"unknown operator or character {ch!r}",
-                    pos,
-                    expected=("operator", "identifier"),
-                )
-    tokens.append(_Token("end", "end of input", n + 1))
+def _tokenize(text: str) -> list[tuple]:
+    """The tokens of ``text`` as ``(kind, text, column)`` triples, the last
+    one "end"; kind is an ASCII spelling, "ident", or 0 or 1 for a
+    constant.  Columns are 1-based."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        group, tok = m.lastgroup, m.group()
+        if group == "word":
+            tokens.append((_LEXICON.get(tok.lower(), "ident"), tok, m.start() + 1))
+        elif group == "symbol":
+            tokens.append((_LEXICON[tok], tok, m.start() + 1))
+        elif group == "other":
+            raise ParseError(
+                f"unknown operator or character {tok!r}",
+                m.start() + 1,
+                expected=("operator", "identifier"),
+            )
+    tokens.append(("end", "end of input", len(text) + 1))
     return tokens
 
 
@@ -413,8 +387,8 @@ _INFIX = {op.value: op for op in CONNECTIVES if op is not Connective.MAJ}
 _INFIX_EXPECTED = frozenset({f"'{kind}'" for kind in _INFIX} | {"end of input"})
 
 
-def _unexpected(tok: _Token, expected) -> ParseError:
-    return ParseError(f"unexpected {tok.text!r}", tok.pos, expected=expected)
+def _unexpected(tok: tuple, expected) -> ParseError:
+    return ParseError(f"unexpected {tok[1]!r}", tok[2], expected=expected)
 
 
 def _after_operand(ops: list) -> set[str] | frozenset[str]:
@@ -451,17 +425,17 @@ def parse(text: str) -> Formula:
     while True:
         # An operand is due: prefixes and openings, then an atom.
         tok = tokens[i]
-        kind = tok.kind
+        kind = tok[0]
         i += 1
         if kind == "ident":
-            f = Var(tok.text)
-        elif kind == "const":
-            f = Const(tok.value)
+            f = Var(tok[1])
+        elif kind.__class__ is int:
+            f = Const(kind)
         elif kind == "!" or kind == "(":
             ops.append(kind)
             continue
         elif kind == "maj":
-            if tokens[i].kind != "(":
+            if tokens[i][0] != "(":
                 raise _unexpected(tokens[i], {"'('"})
             ops.append(0)
             i += 1
@@ -476,8 +450,9 @@ def parse(text: str) -> Formula:
                 ops.pop()
                 f = Not(f)
             tok = tokens[i]
+            kind = tok[0]
             i += 1
-            op = _INFIX.get(tok.kind)
+            op = _INFIX.get(kind)
             level = -1 if op is None else CONNECTIVES[op].level
             while ops and ops[-1].__class__ is Connective:
                 top = ops[-1]
@@ -497,17 +472,17 @@ def parse(text: str) -> Formula:
                 ops.append(op)
                 break
             frame = ops[-1] if ops else None
-            if tok.kind == ")" and (frame == "(" or frame == 2):
+            if kind == ")" and (frame == "(" or frame == 2):
                 ops.pop()
                 if frame == 2:
                     (b, _), (a, _) = operands.pop(), operands.pop()
                     f = App(Connective.MAJ, (a, b, f))
                 built = None
-            elif tok.kind == "," and (frame == 0 or frame == 1):
+            elif kind == "," and (frame == 0 or frame == 1):
                 ops[-1] = frame + 1
                 operands.append((f, None))
                 break
-            elif tok.kind == "end" and frame is None:
+            elif kind == "end" and frame is None:
                 return f
             else:
                 raise _unexpected(tok, _after_operand(ops))

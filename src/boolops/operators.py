@@ -56,11 +56,17 @@ class DiagonalOperator:
 
     @classmethod
     def identity(cls, arity: int) -> "DiagonalOperator":
-        return cls(arity, (1,) * (1 << arity))
+        return cls._constant(arity, 1)
 
     @classmethod
     def zero(cls, arity: int) -> "DiagonalOperator":
-        return cls(arity, (0,) * (1 << arity))
+        return cls._constant(arity, 0)
+
+    @classmethod
+    def _constant(cls, arity: int, value: int) -> "DiagonalOperator":
+        if arity < 0:  # before 1 << arity, which refuses it as ValueError
+            raise DomainError(f"arity must be >= 0, got {arity}")
+        return cls(arity, (value,) * (1 << arity))
 
     @property
     def is_projector(self) -> bool:
@@ -111,11 +117,12 @@ class DiagonalOperator:
         """Identity minus self; negation when self is a projector."""
         return DiagonalOperator.identity(self.arity) - self
 
-    def kron(self, other: "DiagonalOperator", *, arity_cap: int = ARITY_CAP):
-        """Kronecker product; self supplies the most significant index block."""
+    def kron(self, other: "DiagonalOperator"):
+        """Kronecker product; self supplies the most significant index block.
+        Refuses arities above ``ARITY_CAP`` before allocating."""
         arity = self.arity + other.arity
-        if arity > arity_cap:
-            raise ArityCapError(arity, arity_cap)
+        if arity > ARITY_CAP:
+            raise ArityCapError(arity, ARITY_CAP)
         return DiagonalOperator(
             arity, tuple(a * b for a in self.diagonal for b in other.diagonal)
         )

@@ -159,6 +159,37 @@ def test_deep_formula_read_from_stdin():
     assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
 
 
+def test_non_ascii_letter_is_a_parse_error():
+    src = Path(boolops.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "boolops.cli", "eval", "é", "1"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, encoding="utf-8", timeout=60,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.splitlines()[0] == (
+        "parse error: unknown operator or character 'é' (column 1)"
+    )
+    assert "Traceback" not in result.stderr
+
+
+def test_closed_stdout_exits_141_quietly():
+    # 2**14 rows, far more than a pipe holds: the writer is still writing
+    # when the reader closes its end after the first line.
+    text = " ^ ".join(f"v{i}" for i in range(14))
+    src = Path(boolops.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boolops.cli", "table", text],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"v0 v1 ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 def test_import_leaves_numpy_unloaded():
     # The modules a fresh `import boolops.cli` adds: only the commands that
     # use numpy, dataclasses, fractions, json or the verify suite load them.
@@ -363,6 +394,7 @@ PIECES = (
     "x", "y", "z", "0", "1", "F", "T", "t", "f",
     "!", "&", "|", "^", "nand", "NOR", "->", "<-", "!->", "!<-", "<->", "maj",
     "¬", "∧", "∨", "⊕", "⇒", "⇐", "≡", "(", ")", ",", " ", "  ",
+    "é", "ß", "Ж", "²", "٣",  # letters and digits outside ASCII
 )
 
 

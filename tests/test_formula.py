@@ -157,6 +157,10 @@ INFIX = {"'&'", "'nand'", "'^'", "'|'", "'nor'", "'->'", "'<-'", "'!->'", "'!<-'
         ("a <-> b -> c !<- d", "unexpected '!<-'", 14, INFIX),
         ("(a -> b <- c)", "unexpected '<-'", 9, {"')'"}),
         ("maj(a -> b !-> c, d, e)", "unexpected '!->'", 12, {"','"}),
+        # Identifiers are ASCII: any other letter or digit is its own error.
+        ("é", "unknown operator or character 'é'", 1, {"operator", "identifier"}),
+        ("x²", "unknown operator or character '²'", 2, {"operator", "identifier"}),
+        ("a & Жb", "unknown operator or character 'Ж'", 5, {"operator", "identifier"}),
     ],
 )
 def test_parse_error_reports(text, message, position, expected):

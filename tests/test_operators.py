@@ -58,8 +58,17 @@ def test_kron_against_numpy():
 
 
 def test_kron_arity_cap():
+    # 12 + 13 > ARITY_CAP = 24: refused before the 2**25-entry product.
     with pytest.raises(ArityCapError):
-        seed().kron(seed(), arity_cap=1)
+        DiagonalOperator.zero(12).kron(DiagonalOperator.zero(13))
+
+
+@pytest.mark.parametrize(
+    "make", [DiagonalOperator.identity, DiagonalOperator.zero], ids=["identity", "zero"]
+)
+def test_negative_arity_is_a_domain_error(make):
+    with pytest.raises(DomainError, match="arity must be >= 0, got -1"):
+        make(-1)
 
 
 def test_rank1_projector_examples():

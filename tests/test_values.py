@@ -15,7 +15,6 @@ from boolops.formula import (
     Not,
     Var,
     VariableOrder,
-    _Token,
     parse,
 )
 from boolops.multilinear import LagrangeBasis, lagrange_basis
@@ -35,8 +34,6 @@ CASES = [
     (App, ("op", "operands"), (Connective.AND, (X, Const(1))),
      (Connective.OR, (X, Const(1)))),
     (VariableOrder, ("names",), (("x", "y"),), (("y", "x"),)),
-    (_Token, ("kind", "text", "pos", "value"), ("const", "T", 3, 1),
-     ("const", "T", 4, 1)),
     (Interpretation, ("bits",), ((1, 0, 1),), ((1, 0, 0),)),
     (TruthVector, ("arity", "bits"), (2, (0, 1, 1, 1)), (2, (0, 1, 1, 0))),
     (InterpretationState, ("arity", "amplitudes", "input_normalized"),
@@ -112,7 +109,6 @@ def test_match_statement_binds_fields_by_position():
 
 
 def test_defaults_and_normalised_fields():
-    assert _Token("end", "end of input", 5).value == 0
     assert CheckResult("a", True).detail == ""
     state = InterpretationState(1, [1, 0])
     assert state.input_normalized is True and state.amplitudes == (1 + 0j, 0j)
@@ -126,6 +122,7 @@ VALIDATION = [
     (lambda: Const(2), ValueError, "constant must be 0 or 1, got 2"),
     (lambda: Var("1x"), ValueError, "invalid variable name '1x'"),
     (lambda: Var(3), ValueError, "invalid variable name 3"),
+    (lambda: Var("é"), ValueError, "invalid variable name 'é'"),  # ASCII only
     (lambda: Var("nand"), ValueError, "variable name 'nand' is a reserved word"),
     (lambda: App(Connective.IMPLIES, (X,)), ValueError,
      "IMPLIES takes exactly 2 operands, got 1"),
@@ -136,6 +133,7 @@ VALIDATION = [
     (lambda: VariableOrder(("x", "x")), ValueError,
      "duplicate variable names in ('x', 'x')"),
     (lambda: VariableOrder(("x", "T")), ValueError, "invalid variable name 'T'"),
+    (lambda: VariableOrder(("x²",)), ValueError, "invalid variable name 'x²'"),
     (lambda: Interpretation((0, 2)), DomainError,
      "assignment bits must be 0/1, got (0, 2)"),
     (lambda: TruthVector(-1, ()), DomainError, "arity must be >= 0, got -1"),
