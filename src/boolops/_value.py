@@ -8,12 +8,14 @@ class Value:
 
     A subclass declares ``__slots__ = __match_args__ = (field, ...)`` and
     an ``__init__`` that validates its arguments and stores them with
-    ``object.__setattr__``.  Equality, hashing and ``repr`` go field by
-    field, as for a frozen dataclass: instances are equal only to
-    instances of the same class, ``hash`` is the hash of the field tuple
-    and ``repr`` reads ``Name(field=value, ...)``.  Assignment and
-    deletion raise ``AttributeError``; copies and pickles are rebuilt
-    through ``__init__`` from the field values.
+    ``object.__setattr__``.  A field may instead be a property computed
+    from the slots (``TruthVector.bits`` unpacks a packed int).  Equality,
+    hashing and ``repr`` go field by field, as for a frozen dataclass:
+    instances are equal only to instances of the same class, ``hash`` is
+    the hash of the field tuple and ``repr`` reads
+    ``Name(field=value, ...)``.  Assignment and deletion raise
+    ``AttributeError``; copies and pickles are rebuilt through
+    ``__init__`` from the field values.
     """
 
     __slots__ = ()

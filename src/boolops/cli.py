@@ -156,12 +156,10 @@ def _cmd_table(args) -> int:
     n = tv.arity
 
     def lines():
+        text = str(tv)
         yield f"{' '.join(order.names)} : {name}" if n else name
-        if n:
-            yield from map("{} : {}".format, _row_labels(n), tv.bits)
-        else:
-            yield str(tv.bits[0])
-        yield f"truth vector: {tv}"
+        yield from map("{} : {}".format, _row_labels(n), text) if n else [text]
+        yield f"truth vector: {text}"
         yield f"function index: f_{tv.function_index}"
 
     _emit(

@@ -78,8 +78,13 @@ class MultilinearPoly:
         object.__setattr__(p, "coeffs", MappingProxyType(coeffs))
         return p
 
-    def __setattr__(self, name, value):
+    def _immutable(self, *_):
         raise AttributeError("MultilinearPoly is immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return self.__class__, (self.arity, dict(self.coeffs))
 
     # -- constructors
 
@@ -405,7 +410,7 @@ def format_canonical(tv: TruthVector, names=None) -> str:
     if names is None:
         names = default_names(tv.arity)
     if tv.arity == 0:
-        return str(tv.bits[0])
+        return str(tv)
     terms = []
     for k, b in enumerate(tv.bits):
         if not b:

@@ -32,10 +32,10 @@ DENSE_CAP = 6
 DenseMatrix = tuple[tuple[int, ...], ...]
 
 
-class DiagonalOperator:
+class DiagonalOperator(Value):
     """Integer diagonal operator; immutable and hashable."""
 
-    __slots__ = ("arity", "diagonal")
+    __slots__ = __match_args__ = ("arity", "diagonal")
 
     def __init__(self, arity: int, diagonal):
         # operator.index keeps the entries exact: floats are rejected
@@ -50,9 +50,6 @@ class DiagonalOperator:
             )
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "diagonal", diagonal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiagonalOperator is immutable")
 
     @classmethod
     def identity(cls, arity: int) -> "DiagonalOperator":
@@ -139,21 +136,8 @@ class DiagonalOperator:
             for i in range(size)
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiagonalOperator)
-            and self.arity == other.arity
-            and self.diagonal == other.diagonal
-        )
-
-    def __hash__(self):
-        return hash((self.arity, self.diagonal))
-
     def __str__(self):
         return "diag(" + ",".join(map(str, self.diagonal)) + ")"
-
-    def __repr__(self):
-        return f"DiagonalOperator({self.arity}, {self.diagonal})"
 
 
 def seed() -> DiagonalOperator:

@@ -10,6 +10,7 @@ number 14.
 from __future__ import annotations
 
 from functools import reduce
+from operator import index as _int
 
 from ._value import Value
 from .errors import (
@@ -24,8 +25,9 @@ from .formula import Algebra, App, Formula, Not, Var, VariableOrder, postorder, 
 ARITY_CAP = 24
 
 _BITS = frozenset((0, 1))
-#: ``bytes.translate`` table turning the ASCII digits 0/1 into the bytes 0/1.
+#: ``bytes.translate`` tables between the ASCII digits 0/1 and the bytes 0/1.
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _bits_valid(bits: tuple) -> bool:
@@ -34,16 +36,6 @@ def _bits_valid(bits: tuple) -> bool:
         return _BITS.issuperset(bits)
     except TypeError:  # an unhashable entry: compare one by one
         return all(b in (0, 1) for b in bits)
-
-
-def _rows_of_mask(mask: int, rows: int) -> tuple[int, ...]:
-    """Bit k of ``mask`` for k in range(rows), as a tuple of 0/1 ints.
-
-    Base-2 string conversion extracts all rows in linear time; shifting
-    the (possibly multi-megabit) mask once per row would be quadratic.
-    """
-    text = format(mask, "b").zfill(rows)[::-1]
-    return tuple(text.encode("ascii").translate(_DIGIT_VALUES))
 
 
 class Interpretation(Value):
@@ -79,9 +71,11 @@ class Interpretation(Value):
 
 
 class TruthVector(Value):
-    """Complete truth table of an ``arity``-argument function, row order."""
+    """Complete truth table of an ``arity``-argument function, stored as its
+    function index: row k of the table is bit k of ``function_index``."""
 
-    __slots__ = __match_args__ = ("arity", "bits")
+    __slots__ = ("arity", "function_index")
+    __match_args__ = ("arity", "bits")
 
     def __init__(self, arity: int, bits: tuple[int, ...]):
         bits = tuple(bits)
@@ -93,8 +87,19 @@ class TruthVector(Value):
             )
         if not _bits_valid(bits):
             raise DomainError("truth vector entries must be 0 or 1")
+        # Base-2 text packs and unpacks all rows in linear time; shifting a
+        # (possibly multi-megabit) mask once per row would be quadratic.
+        text = bytes(map(int, bits)).translate(_DIGIT_CHARS)[::-1]
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "bits", tuple(map(int, bits)))
+        object.__setattr__(self, "function_index", int(text, 2))
+
+    @classmethod
+    def _of(cls, arity: int, index: int) -> "TruthVector":
+        """Wrap ``index`` unchecked: an int with 0 <= index < 2**2**arity."""
+        tv = object.__new__(cls)
+        object.__setattr__(tv, "arity", arity)
+        object.__setattr__(tv, "function_index", index)
+        return tv
 
     @classmethod
     def from_bits(cls, bits) -> "TruthVector":
@@ -109,28 +114,29 @@ class TruthVector(Value):
 
     @classmethod
     def from_index(cls, arity: int, index: int) -> "TruthVector":
-        """Inverse of :attr:`function_index`."""
+        """Truth vector whose :attr:`function_index` is ``index``."""
         if arity < 0:
             raise DomainError(f"arity must be >= 0, got {arity}")
         if arity > ARITY_CAP:
             raise ArityCapError(arity, ARITY_CAP)
-        rows = 1 << arity
-        if index < 0 or index.bit_length() > rows:
+        index = int(_int(index))  # exact: floats are rejected, not truncated
+        if index < 0 or index.bit_length() > 1 << arity:
             raise DomainError(
                 f"function index {index} out of range for arity {arity}"
             )
-        return cls(arity, _rows_of_mask(index, rows))
+        return cls._of(arity, index)
 
     @property
-    def function_index(self) -> int:
-        """Row 0 is the least significant bit of the function number."""
-        return int(str(self)[::-1], 2)
+    def bits(self) -> tuple[int, ...]:
+        """The 2**arity rows as 0/1 ints, unpacked afresh on every read."""
+        return tuple(str(self).encode("ascii").translate(_DIGIT_VALUES))
 
     def complement(self) -> "TruthVector":
-        return TruthVector(self.arity, tuple(1 - b for b in self.bits))
+        full = (1 << (1 << self.arity)) - 1
+        return TruthVector._of(self.arity, full ^ self.function_index)
 
     def __str__(self) -> str:
-        return "".join(map(str, self.bits))
+        return format(self.function_index, "b").zfill(1 << self.arity)[::-1]
 
 
 def _evaluate(f: Formula, columns: dict[str, int], full: int) -> int:
@@ -196,4 +202,4 @@ def truth_vector(
         raise ArityCapError(n, arity_cap)
     full = (1 << (1 << n)) - 1
     columns = {name: _column_mask(p, n) for p, name in enumerate(order.names)}
-    return TruthVector(n, _rows_of_mask(_evaluate(f, columns, full), 1 << n))
+    return TruthVector._of(n, _evaluate(f, columns, full))

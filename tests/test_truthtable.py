@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -113,6 +116,33 @@ def test_from_index_range_check():
 def test_index_bijection_exhaustive(n, count):
     seen = {TruthVector.from_index(n, i).function_index for i in range(count)}
     assert seen == set(range(count))
+    for i in range(count):
+        tv = TruthVector.from_index(n, i)
+        bits = tv.bits
+        assert len(bits) == 1 << n and set(bits) <= {0, 1}
+        assert TruthVector(n, bits) == tv
+        assert tv.function_index == sum(b << k for k, b in enumerate(bits))
+        assert str(tv) == "".join(map(str, bits))
+        assert tv.complement().bits == tuple(1 - b for b in bits)
+
+
+def test_from_index_reads_an_exact_integer():
+    with pytest.raises(TypeError):
+        TruthVector.from_index(2, 1.0)
+    wide = TruthVector.from_index(2, np.int64(14))
+    assert wide == TruthVector.from_index(2, 14)
+    assert type(wide.function_index) is int
+
+
+def test_from_index_builds_no_row_sequence():
+    index = (1 << (1 << 24)) - 1  # every row of a 24-argument table set
+    tracemalloc.start()
+    try:
+        tv = TruthVector.from_index(24, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tv.function_index == index and peak < 8 << 20
 
 
 def test_de_morgan_at_table_level():

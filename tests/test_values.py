@@ -17,8 +17,8 @@ from boolops.formula import (
     VariableOrder,
     parse,
 )
-from boolops.multilinear import LagrangeBasis, lagrange_basis
-from boolops.operators import VonNeumannReport
+from boolops.multilinear import LagrangeBasis, MultilinearPoly, lagrange_basis
+from boolops.operators import DiagonalOperator, VonNeumannReport
 from boolops.states import InterpretationState
 from boolops.truthtable import Interpretation, TruthVector
 from boolops.verify import CheckResult
@@ -36,6 +36,7 @@ CASES = [
     (VariableOrder, ("names",), (("x", "y"),), (("y", "x"),)),
     (Interpretation, ("bits",), ((1, 0, 1),), ((1, 0, 0),)),
     (TruthVector, ("arity", "bits"), (2, (0, 1, 1, 1)), (2, (0, 1, 1, 0))),
+    (DiagonalOperator, ("arity", "diagonal"), (1, (0, 1)), (1, (1, 0))),
     (InterpretationState, ("arity", "amplitudes", "input_normalized"),
      (1, (0j, 1 + 0j), False), (1, (1 + 0j, 0j), False)),
     (VonNeumannReport, ("commute", "sum_is_projector", "difference_is_projector"),
@@ -95,6 +96,22 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, fields, args, other):
     ):
         assert type(twin) is cls and twin == a and hash(twin) == hash(a)
         assert repr(twin) == repr(a)
+
+
+def test_multilinear_poly_is_immutable_copyable_and_picklable():
+    p = MultilinearPoly(2, {(0,): 1, (1,): 1, (0, 1): -2})
+    for name in ("arity", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    for twin in (
+        copy.copy(p),
+        copy.deepcopy(p),
+        *(pickle.loads(pickle.dumps(p, protocol)) for protocol in (0, 2, 5)),
+    ):
+        assert type(twin) is MultilinearPoly and twin == p and hash(twin) == hash(p)
+        assert repr(twin) == repr(p) == "MultilinearPoly(2, 'x + y - 2*x*y')"
 
 
 def test_match_statement_binds_fields_by_position():
