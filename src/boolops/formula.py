@@ -194,7 +194,7 @@ class Const(Formula):
     def __init__(self, value: int):
         if value not in (0, 1):
             raise ValueError(f"constant must be 0 or 1, got {value!r}")
-        object.__setattr__(self, "value", value)
+        Value.__init__(self, value)
 
 
 class Var(Formula):
@@ -208,7 +208,7 @@ class Var(Formula):
             raise ValueError(f"invalid variable name {name!r}")
         if kind != "ident":
             raise ValueError(f"variable name {name!r} is a reserved word")
-        object.__setattr__(self, "name", name)
+        Value.__init__(self, name)
 
 
 class _Node(Formula):
@@ -233,9 +233,6 @@ class _Node(Formula):
 class Not(_Node):
     __slots__ = __match_args__ = ("operand",)
 
-    def __init__(self, operand: Formula):
-        object.__setattr__(self, "operand", operand)
-
 
 class App(_Node):
     """Application of a connective to a tuple of operand formulas."""
@@ -253,8 +250,7 @@ class App(_Node):
                 raise ValueError(f"MAJ takes exactly 3 operands, got {k}")
         elif k < 2:
             raise ValueError(f"{op.name} takes at least 2 operands, got {k}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "operands", operands)
+        Value.__init__(self, op, operands)
 
 
 def postorder(f: Formula) -> list[Formula]:
@@ -325,7 +321,7 @@ class VariableOrder(Value):
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names!r}")
-        object.__setattr__(self, "names", names)
+        Value.__init__(self, names)
 
     def __len__(self) -> int:
         return len(self.names)

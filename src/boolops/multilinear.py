@@ -28,7 +28,7 @@ from .errors import (
     NonInterpretableError,
 )
 from .formula import BINARY_ONLY, Algebra, Connective
-from .truthtable import ARITY_CAP, Interpretation, TruthVector
+from .truthtable import ARITY_CAP, Interpretation, TruthVector, _bits_valid, _pack
 
 #: Default variable names used when printing, matching the usual
 #: four-argument tuple (x, y, z, r).
@@ -41,17 +41,17 @@ def default_names(arity: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(arity))
 
 
-class MultilinearPoly:
-    """Multilinear polynomial: arity plus a subset -> coefficient map.
+class MultilinearPoly(Value):
+    """Multilinear polynomial: ``arity`` and ``coeffs``, a read-only map
+    from position frozensets within ``arity`` to nonzero int coefficients.
 
-    Zero coefficients are never stored, so equality of the coefficient
-    maps is equality of polynomials (the multilinear representation of a
-    function on {0,1}**n is unique).
+    The multilinear representation of a function on {0,1}**n is unique, so
+    equality of the coefficient maps is equality of polynomials.
     """
 
-    __slots__ = ("arity", "coeffs")
+    __slots__ = __match_args__ = ("arity", "coeffs")
 
-    def __new__(cls, arity: int, coeffs: Mapping | Iterable = ()):
+    def __init__(self, arity: int, coeffs: Mapping | Iterable = ()):
         if arity < 0:
             raise DomainError(f"arity must be >= 0, got {arity}")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -67,21 +67,7 @@ class MultilinearPoly:
                 clean[subset] = clean.get(subset, 0) + c
                 if not clean[subset]:
                     del clean[subset]
-        return cls._of(arity, clean)
-
-    @classmethod
-    def _of(cls, arity: int, coeffs: dict) -> "MultilinearPoly":
-        """Wrap ``coeffs`` unchecked and uncopied: frozenset keys within
-        ``arity``, nonzero int values."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "arity", arity)
-        object.__setattr__(p, "coeffs", MappingProxyType(coeffs))
-        return p
-
-    def _immutable(self, *_):
-        raise AttributeError("MultilinearPoly is immutable")
-
-    __setattr__ = __delattr__ = _immutable
+        Value.__init__(self, arity, MappingProxyType(clean))
 
     def __reduce__(self):
         return self.__class__, (self.arity, dict(self.coeffs))
@@ -194,13 +180,6 @@ class MultilinearPoly:
             names = default_names(self.arity)
         return format_terms(self.monomials(), names)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultilinearPoly)
-            and self.arity == other.arity
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self):
         return hash((self.arity, frozenset(self.coeffs.items())))
 
@@ -294,7 +273,7 @@ def from_truth_vector(tv: TruthVector, *, arity_cap: int = ARITY_CAP) -> Multili
     vals = _butterfly(list(tv.bits), -1)
     masks = list(compress(range(len(vals)), vals))
     return MultilinearPoly._of(
-        n, dict(zip(_subsets_of_masks(masks, n), filter(None, vals)))
+        n, MappingProxyType(dict(zip(_subsets_of_masks(masks, n), filter(None, vals))))
     )
 
 
@@ -319,10 +298,10 @@ def to_truth_vector(p: MultilinearPoly) -> TruthVector:
     """
     n = p.arity
     vals = values(p)
-    for k, v in enumerate(vals):
-        if v not in (0, 1):
-            raise NonInterpretableError(Interpretation.from_index(n, k).bits, v)
-    return TruthVector(n, tuple(vals))
+    if not _bits_valid(vals):
+        k, v = next((k, v) for k, v in enumerate(vals) if v not in (0, 1))
+        raise NonInterpretableError(Interpretation.from_index(n, k).bits, v)
+    return TruthVector._of(n, _pack(vals))
 
 
 def minterm_poly(itp: Interpretation) -> MultilinearPoly:
@@ -434,13 +413,6 @@ class LagrangeBasis(Value):
     the degree is one less than the number of points."""
 
     __slots__ = __match_args__ = ("points", "index", "coeffs")
-
-    def __init__(
-        self, points: tuple[Fraction, ...], index: int, coeffs: tuple[Fraction, ...]
-    ):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:

@@ -24,7 +24,7 @@ from .errors import (
     InvariantViolation,
 )
 from .multilinear import MultilinearPoly, values
-from .truthtable import ARITY_CAP, Interpretation, TruthVector
+from .truthtable import ARITY_CAP, Interpretation, TruthVector, _bits_valid
 
 #: Dense 2**n x 2**n export is refused above this arity by default.
 DENSE_CAP = 6
@@ -48,8 +48,7 @@ class DiagonalOperator(Value):
                 f"expected {1 << arity} diagonal entries for arity {arity}, "
                 f"got {len(diagonal)}"
             )
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "diagonal", diagonal)
+        Value.__init__(self, arity, diagonal)
 
     @classmethod
     def identity(cls, arity: int) -> "DiagonalOperator":
@@ -63,12 +62,12 @@ class DiagonalOperator(Value):
     def _constant(cls, arity: int, value: int) -> "DiagonalOperator":
         if arity < 0:  # before 1 << arity, which refuses it as ValueError
             raise DomainError(f"arity must be >= 0, got {arity}")
-        return cls(arity, (value,) * (1 << arity))
+        return cls._of(arity, (value,) * (1 << arity))
 
     @property
     def is_projector(self) -> bool:
         """True iff idempotent, i.e. every eigenvalue is 0 or 1."""
-        return all(d in (0, 1) for d in self.diagonal)
+        return _bits_valid(self.diagonal)
 
     def _check_arity(self, other: "DiagonalOperator") -> None:
         if self.arity != other.arity:
@@ -82,7 +81,7 @@ class DiagonalOperator(Value):
         if not isinstance(other, DiagonalOperator):
             return NotImplemented
         self._check_arity(other)
-        return DiagonalOperator(
+        return DiagonalOperator._of(
             self.arity, tuple(a * b for a, b in zip(self.diagonal, other.diagonal))
         )
 
@@ -95,7 +94,7 @@ class DiagonalOperator(Value):
         if not isinstance(other, DiagonalOperator):
             return NotImplemented
         self._check_arity(other)
-        return DiagonalOperator(
+        return DiagonalOperator._of(
             self.arity, tuple(a + b for a, b in zip(self.diagonal, other.diagonal))
         )
 
@@ -103,7 +102,7 @@ class DiagonalOperator(Value):
         if not isinstance(other, DiagonalOperator):
             return NotImplemented
         self._check_arity(other)
-        return DiagonalOperator(
+        return DiagonalOperator._of(
             self.arity, tuple(a - b for a, b in zip(self.diagonal, other.diagonal))
         )
 
@@ -120,7 +119,7 @@ class DiagonalOperator(Value):
         arity = self.arity + other.arity
         if arity > ARITY_CAP:
             raise ArityCapError(arity, ARITY_CAP)
-        return DiagonalOperator(
+        return DiagonalOperator._of(
             arity, tuple(a * b for a in self.diagonal for b in other.diagonal)
         )
 
@@ -178,7 +177,7 @@ def logical_projector(arity: int, position: int) -> DiagonalOperator:
 def from_truth_vector(tv: TruthVector) -> DiagonalOperator:
     """Projector whose diagonal is the truth vector verbatim; equal to the
     truth-value-weighted sum of the rank-1 projectors."""
-    return DiagonalOperator(tv.arity, tv.bits)
+    return DiagonalOperator._of(tv.arity, tv.bits)
 
 
 def lift_polynomial(p: MultilinearPoly) -> DiagonalOperator:
@@ -188,7 +187,7 @@ def lift_polynomial(p: MultilinearPoly) -> DiagonalOperator:
     interpretation (the zeta transform, O(n * 2**n)); an interpretable
     polynomial lifts to the projector of its own truth vector.
     """
-    return DiagonalOperator(p.arity, values(p))
+    return DiagonalOperator._of(p.arity, tuple(values(p)))
 
 
 def trace_select(f: DiagonalOperator, itp: Interpretation) -> int:
@@ -214,13 +213,6 @@ class VonNeumannReport(Value):
         "sum_is_projector",
         "difference_is_projector",
     )
-
-    def __init__(
-        self, commute: bool, sum_is_projector: bool, difference_is_projector: bool
-    ):
-        object.__setattr__(self, "commute", commute)
-        object.__setattr__(self, "sum_is_projector", sum_is_projector)
-        object.__setattr__(self, "difference_is_projector", difference_is_projector)
 
 
 def _matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:

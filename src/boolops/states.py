@@ -47,9 +47,7 @@ class InterpretationState(Value):
                 f"expected {1 << arity} amplitudes for arity {arity}, "
                 f"got {len(amplitudes)}"
             )
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "input_normalized", input_normalized)
+        Value.__init__(self, arity, amplitudes, input_normalized)
         if abs(self.norm_squared() - 1.0) > NORM_TOL:
             raise DomainError("state amplitudes are not normalized")
 
@@ -62,7 +60,7 @@ def basis_state(itp: Interpretation) -> InterpretationState:
     size = 1 << itp.arity
     amps = [0j] * size
     amps[itp.index] = 1 + 0j
-    return InterpretationState(itp.arity, tuple(amps))
+    return InterpretationState._of(itp.arity, tuple(amps), True)
 
 
 def _as_complex(item) -> complex:
@@ -98,10 +96,10 @@ def from_amplitudes(arity: int, amplitudes) -> InterpretationState:
         raise DomainError("amplitude vector has zero norm")
     scaled = tuple(a / scale for a in amps)
     norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in scaled))
-    return InterpretationState(
+    return InterpretationState._of(
         arity,
         tuple(a / norm for a in scaled),
-        input_normalized=abs(norm * scale - 1.0) <= INPUT_NORM_TOL,
+        abs(norm * scale - 1.0) <= INPUT_NORM_TOL,
     )
 
 

@@ -38,6 +38,12 @@ def _bits_valid(bits: tuple) -> bool:
         return all(b in (0, 1) for b in bits)
 
 
+def _pack(bits) -> int:
+    """Row mask of 0/1 entries, entry k at bit k, packed as base-2 text in
+    linear time; shifting a multi-megabit mask once per row is quadratic."""
+    return int(bytes(map(int, bits)).translate(_DIGIT_CHARS)[::-1], 2)
+
+
 class Interpretation(Value):
     """One assignment of truth values, one bit per variable position."""
 
@@ -47,15 +53,16 @@ class Interpretation(Value):
         bits = tuple(bits)
         if not _bits_valid(bits):
             raise DomainError(f"assignment bits must be 0/1, got {bits!r}")
-        object.__setattr__(self, "bits", tuple(map(int, bits)))
+        Value.__init__(self, tuple(map(int, bits)))
 
     @classmethod
     def from_index(cls, arity: int, index: int) -> "Interpretation":
         if arity < 0:
             raise DomainError(f"arity must be >= 0, got {arity}")
+        index = int(_int(index))  # so the bits are ints, as the constructor's
         if not 0 <= index < (1 << arity):
             raise DomainError(f"row index {index} out of range for arity {arity}")
-        return cls(tuple((index >> (arity - 1 - p)) & 1 for p in range(arity)))
+        return cls._of(tuple((index >> (arity - 1 - p)) & 1 for p in range(arity)))
 
     @property
     def arity(self) -> int:
@@ -87,19 +94,7 @@ class TruthVector(Value):
             )
         if not _bits_valid(bits):
             raise DomainError("truth vector entries must be 0 or 1")
-        # Base-2 text packs and unpacks all rows in linear time; shifting a
-        # (possibly multi-megabit) mask once per row would be quadratic.
-        text = bytes(map(int, bits)).translate(_DIGIT_CHARS)[::-1]
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "function_index", int(text, 2))
-
-    @classmethod
-    def _of(cls, arity: int, index: int) -> "TruthVector":
-        """Wrap ``index`` unchecked: an int with 0 <= index < 2**2**arity."""
-        tv = object.__new__(cls)
-        object.__setattr__(tv, "arity", arity)
-        object.__setattr__(tv, "function_index", index)
-        return tv
+        Value.__init__(self, arity, _pack(bits))
 
     @classmethod
     def from_bits(cls, bits) -> "TruthVector":

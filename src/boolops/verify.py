@@ -72,9 +72,7 @@ class CheckResult(Value):
     __slots__ = __match_args__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        Value.__init__(self, name, passed, detail)
 
 
 class _Suite:

@@ -4,9 +4,11 @@ slotted dataclasses built here from the same field names."""
 import copy
 import dataclasses
 import pickle
+from collections.abc import Mapping
 
 import pytest
 
+from boolops import multilinear, operators
 from boolops.errors import ArityMismatchError, DomainError
 from boolops.formula import (
     App,
@@ -19,8 +21,8 @@ from boolops.formula import (
 )
 from boolops.multilinear import LagrangeBasis, MultilinearPoly, lagrange_basis
 from boolops.operators import DiagonalOperator, VonNeumannReport
-from boolops.states import InterpretationState
-from boolops.truthtable import Interpretation, TruthVector
+from boolops.states import InterpretationState, basis_state, from_amplitudes
+from boolops.truthtable import Interpretation, TruthVector, truth_vector
 from boolops.verify import CheckResult
 
 X, Y = Var("x"), Var("y")
@@ -147,6 +149,8 @@ VALIDATION = [
      "MAJ takes exactly 3 operands, got 2"),
     (lambda: App(Connective.AND, (X,)), ValueError,
      "AND takes at least 2 operands, got 1"),
+    (lambda: Not(), TypeError, "Not takes the fields ('operand',)"),
+    (lambda: Not(X, Y), TypeError, "Not takes the fields ('operand',)"),
     (lambda: VariableOrder(("x", "x")), ValueError,
      "duplicate variable names in ('x', 'x')"),
     (lambda: VariableOrder(("x", "T")), ValueError, "invalid variable name 'T'"),
@@ -160,6 +164,13 @@ VALIDATION = [
      "expected 2 amplitudes for arity 1, got 1"),
     (lambda: InterpretationState(1, (1, 1)), DomainError,
      "state amplitudes are not normalized"),
+    pytest.param(lambda: DiagonalOperator(-1, ()), DomainError,
+                 "arity must be >= 0, got -1",
+                 id="DiagonalOperator-DomainError-arity must be >= 0, got -1"),
+    (lambda: DiagonalOperator(1, (0,)), DomainError,
+     "expected 2 diagonal entries for arity 1, got 1"),
+    (lambda: DiagonalOperator(1, (0, 1)).scale(1.5), TypeError,
+     "'float' object cannot be interpreted as an integer"),
 ]
 
 
@@ -168,3 +179,56 @@ def test_validation_errors(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error and str(info.value) == message
+
+
+def _field_types(value):
+    """The type of each slot and field of ``value``, with the types of its
+    entries when it is a tuple, or of its keys and values when a mapping."""
+    types = []
+    for name in (*value.__slots__, *value.__match_args__):
+        field = getattr(value, name)
+        if isinstance(field, Mapping):
+            entries = [*field, *field.values()]
+        else:
+            entries = field if isinstance(field, tuple) else ()
+        types.append((name, type(field), set(map(type, entries))))
+    return types
+
+
+def test_computed_results_skip_the_public_constructors(monkeypatch):
+    tv = TruthVector(2, (0, 1, 1, 1))
+    p = MultilinearPoly(2, {(0,): 1, (1,): 1, (0, 1): -1})
+    d, e = DiagonalOperator(1, (0, 1)), DiagonalOperator(1, (3, -2))
+    itp = Interpretation((1, 0))
+    routes = {
+        "truth_vector": lambda: truth_vector(parse("x | y")),
+        "TruthVector.from_index": lambda: TruthVector.from_index(2, 14),
+        "TruthVector.complement": tv.complement,
+        "Interpretation.from_index": lambda: Interpretation.from_index(3, 5),
+        "operators.from_truth_vector": lambda: operators.from_truth_vector(tv),
+        "lift_polynomial": lambda: operators.lift_polynomial(p),
+        "DiagonalOperator *": lambda: d * e,
+        "DiagonalOperator +": lambda: d + e,
+        "DiagonalOperator -": lambda: d - e,
+        "DiagonalOperator.kron": lambda: d.kron(e),
+        "DiagonalOperator.identity": lambda: DiagonalOperator.identity(2),
+        "DiagonalOperator.zero": lambda: DiagonalOperator.zero(2),
+        "from_amplitudes": lambda: from_amplitudes(2, [1, 1j, (0, -2), 0.5]),
+        "basis_state": lambda: basis_state(itp),
+        "multilinear.from_truth_vector": lambda: multilinear.from_truth_vector(tv),
+        "to_truth_vector": lambda: multilinear.to_truth_vector(p),
+    }
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} re-validated a computed value")
+
+    for cls in (TruthVector, Interpretation, DiagonalOperator, InterpretationState,
+                MultilinearPoly):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    results = {name: route() for name, route in routes.items()}
+    monkeypatch.undo()
+    for name, value in results.items():
+        cls = type(value)
+        twin = cls(*(getattr(value, field) for field in cls.__match_args__))
+        assert twin == value and hash(twin) == hash(value), name
+        assert _field_types(value) == _field_types(twin), name
