@@ -14,6 +14,7 @@ exact Python integers.
 from __future__ import annotations
 
 from operator import index as _int
+from operator import mul
 
 from ._value import Value
 from .errors import (
@@ -216,11 +217,8 @@ class VonNeumannReport(Value):
 
 
 def _matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    size = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size))
-        for i in range(size)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def von_neumann_check(p: DiagonalOperator, q: DiagonalOperator) -> VonNeumannReport:

@@ -1,21 +1,32 @@
 """Exhaustive invariant suite over the complete function family at one arity.
 
-Checks run over all 2**(2**n) functions, n <= 3.  The commutation check
-builds literal dense matrices (via numpy, exact integers) to certify the
-diagonal fast path, and the correspondence check substitutes projectors
-into each polynomial literally to certify the zeta-transform lift;
-everything else uses the exact diagonal and polynomial routes.
+Checks run over all 2**(2**n) functions, n <= 3, in exact integer
+arithmetic with the standard library only.  Two checks certify a fast
+path against the paper's literal construction:
+
+- commutation works on literal dense matrices.  Each observable is the
+  elective development sum_k f(k) P_k over the rank-1 projectors, and the
+  commutator is bilinear, so two dense facts cover every ordered pair:
+  the P_k commute pairwise, and each observable's matrix equals its
+  development;
+- the correspondence check substitutes projectors into each polynomial
+  literally to certify the zeta-transform lift.
+
+Everything else uses the exact diagonal and polynomial routes.  A failed
+condition raises through ``_require``, never ``assert``, so ``python -O``
+cannot turn a failing check into a pass.
 """
 
 from __future__ import annotations
 
 import random
+from operator import mul
 
 from . import multilinear, operators
 from ._value import Value
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation
 from .formula import Connective, VariableOrder, parse, variables
-from .operators import DiagonalOperator, rank1_projector
+from .operators import DenseMatrix, DiagonalOperator, _matmul, rank1_projector
 from .truthtable import Interpretation, TruthVector, eval_formula, truth_vector
 
 MAX_EXHAUSTIVE_ARITY = 3
@@ -53,6 +64,21 @@ _FORMULAS = {
         "x !-> (y !<- z)",
     ],
 }
+
+
+def _require(condition, message: str = "") -> None:
+    """Fail the running check with ``message``."""
+    if not condition:
+        raise InvariantViolation(message)
+
+
+def _development(weights, matrices) -> DenseMatrix:
+    """The dense matrix sum_k weights[k] * matrices[k]."""
+    # rows: row i of every matrix; entries: entry (i, j) of every matrix.
+    return tuple(
+        tuple(sum(map(mul, weights, entries)) for entries in zip(*rows))
+        for rows in zip(*matrices)
+    )
 
 
 def _substitute_projectors(p: multilinear.MultilinearPoly) -> DiagonalOperator:
@@ -113,24 +139,34 @@ def run_suite(arity: int, *, quadruples: int = 1000, seed: int = 20210) -> list[
     @suite.check("function enumeration")
     def _():
         distinct = len(set(observables))
-        assert distinct == count, f"{distinct} distinct operators, expected {count}"
+        _require(distinct == count, f"{distinct} distinct operators, expected {count}")
         return f"{count} functions"
 
     @suite.check("projector idempotence")
     def _():
         for f in observables:
-            assert f.is_projector
-            assert f * f == f
+            _require(f.is_projector)
+            _require(f * f == f)
 
     @suite.check("pairwise commutation (dense)")
     def _():
-        import numpy as np  # only this check needs it; keeps CLI start-up light
-
-        dense = np.zeros((count, size, size), dtype=np.int64)
-        for i, f in enumerate(observables):
-            np.fill_diagonal(dense[i], f.diagonal)
-        products = np.einsum("iab,jbc->ijac", dense, dense)
-        assert np.array_equal(products, products.transpose(1, 0, 2, 3))
+        basis = [
+            rank1_projector(Interpretation.from_index(n, k)).dense()
+            for k in range(size)
+        ]
+        # The sum/difference check also asks whether the P_k commute; this
+        # check asks again so that its verdict rests on no other check.
+        for i, p in enumerate(basis):
+            for j, q in enumerate(basis[:i]):
+                _require(
+                    _matmul(p, q) == _matmul(q, p),
+                    f"rank-1 projectors {j} and {i} do not commute",
+                )
+        for tv, f in zip(tvs, observables):
+            _require(
+                f.dense() == _development(tv.bits, basis),
+                f"{f} is not the development of {tv}",
+            )
         return f"{count * count} ordered pairs"
 
     @suite.check("rank-1 orthogonality and completeness")
@@ -140,18 +176,18 @@ def run_suite(arity: int, *, quadruples: int = 1000, seed: int = 20210) -> list[
         ]
         total = DiagonalOperator.zero(n)
         for i, p in enumerate(projectors):
-            assert p.is_projector and p.trace() == 1
-            assert p.diagonal[i] == 1
+            _require(p.is_projector and p.trace() == 1)
+            _require(p.diagonal[i] == 1)
             total = total + p
             for j, q in enumerate(projectors):
                 expected = p if i == j else DiagonalOperator.zero(n)
-                assert p * q == expected
-        assert total == DiagonalOperator.identity(n)
+                _require(p * q == expected)
+        _require(total == DiagonalOperator.identity(n))
 
     @suite.check("complement negation")
     def _():
         for tv, f in zip(tvs, observables):
-            assert f.complement().diagonal == tv.complement().bits
+            _require(f.complement().diagonal == tv.complement().bits)
 
     @suite.check("De Morgan complements")
     def _():
@@ -162,8 +198,8 @@ def run_suite(arity: int, *, quadruples: int = 1000, seed: int = 20210) -> list[
             (Connective.OR, Connective.NOR),
         ):
             base = multilinear.connective_poly(kind, n)
-            assert base.complement() == multilinear.connective_poly(dual, n)
-            assert (
+            _require(base.complement() == multilinear.connective_poly(dual, n))
+            _require(
                 multilinear.to_truth_vector(base).complement()
                 == multilinear.to_truth_vector(multilinear.connective_poly(dual, n))
             )
@@ -172,12 +208,12 @@ def run_suite(arity: int, *, quadruples: int = 1000, seed: int = 20210) -> list[
     def _():
         for tv, f in zip(tvs, observables):
             poly = multilinear.from_truth_vector(tv)
-            assert multilinear.to_truth_vector(poly) == tv
-            assert poly * poly == poly
+            _require(multilinear.to_truth_vector(poly) == tv)
+            _require(poly * poly == poly)
             lifted = operators.lift_polynomial(poly)
-            assert lifted == f
-            assert _substitute_projectors(poly) == f
-            assert lifted.diagonal == tv.bits
+            _require(lifted == f)
+            _require(_substitute_projectors(poly) == f)
+            _require(lifted.diagonal == tv.bits)
 
     @suite.check("projector sum/difference rules")
     def _():
@@ -187,9 +223,9 @@ def run_suite(arity: int, *, quadruples: int = 1000, seed: int = 20210) -> list[
         for i, p in enumerate(projectors):
             for j, q in enumerate(projectors):
                 report = operators.von_neumann_check(p, q)
-                assert report.commute
-                assert report.sum_is_projector == (i != j)
-                assert report.difference_is_projector == (i == j)
+                _require(report.commute)
+                _require(report.sum_is_projector == (i != j))
+                _require(report.difference_is_projector == (i == j))
 
     @suite.check("Kronecker mixed-product identity")
     def _():
@@ -213,6 +249,8 @@ def run_suite(arity: int, *, quadruples: int = 1000, seed: int = 20210) -> list[
             obs = operators.from_truth_vector(tv)
             for k in range(size):
                 itp = Interpretation.from_index(n, k)
-                assert operators.trace_select(obs, itp) == eval_formula(f, order, itp)
+                _require(
+                    operators.trace_select(obs, itp) == eval_formula(f, order, itp)
+                )
 
     return suite.results

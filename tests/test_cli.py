@@ -192,7 +192,8 @@ def test_closed_stdout_exits_141_quietly():
 
 def test_import_leaves_numpy_unloaded():
     # The modules a fresh `import boolops.cli` adds: only the commands that
-    # use numpy, dataclasses, fractions, json or the verify suite load them.
+    # use dataclasses, fractions, json or the verify suite load them, and
+    # nothing in the package imports numpy, a test-only dependency.
     src = Path(boolops.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-c",
