@@ -18,7 +18,14 @@ from . import multilinear, operators, states
 from .errors import DomainError, InvariantViolation, ParseError
 from .formula import Formula, VariableOrder, format_formula, parse, variables
 from .operators import DENSE_CAP
-from .truthtable import ARITY_CAP, Interpretation, TruthVector, eval_formula, truth_vector
+from .truthtable import (
+    ARITY_CAP,
+    Interpretation,
+    TruthVector,
+    _rows,
+    eval_formula,
+    truth_vector,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -315,6 +322,7 @@ def _cmd_index(args) -> int:
             index = int(args.value)
         except ValueError:
             raise DomainError(f"expected a function index, got {args.value!r}") from None
+        _rows(args.arity, args.arity_cap)  # from_index keeps its own ARITY_CAP
         tv = TruthVector.from_index(args.arity, index)
         result_lines = [str(tv)]
     _emit(

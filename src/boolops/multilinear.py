@@ -20,15 +20,17 @@ from operator import add, and_, index as _int, or_, rshift, sub
 from types import MappingProxyType
 
 from ._value import Value
-from .errors import (
-    ArityCapError,
-    ArityMismatchError,
-    DomainError,
-    InvariantViolation,
-    NonInterpretableError,
-)
+from .errors import DomainError, InvariantViolation, NonInterpretableError
 from .formula import BINARY_ONLY, Algebra, Connective
-from .truthtable import ARITY_CAP, Interpretation, TruthVector, _bits_valid, _pack
+from .truthtable import (
+    ARITY_CAP,
+    Interpretation,
+    TruthVector,
+    _bits_valid,
+    _pack,
+    _rows,
+    _same_arity,
+)
 
 #: Default variable names used when printing, matching the usual
 #: four-argument tuple (x, y, z, r).
@@ -52,8 +54,7 @@ class MultilinearPoly(Value):
     __slots__ = __match_args__ = ("arity", "coeffs")
 
     def __init__(self, arity: int, coeffs: Mapping | Iterable = ()):
-        if arity < 0:
-            raise DomainError(f"arity must be >= 0, got {arity}")
+        _rows(arity, None)
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict[frozenset[int], int] = {}
         for subset, c in items:
@@ -99,15 +100,13 @@ class MultilinearPoly(Value):
             other = MultilinearPoly.constant(self.arity, other)
         elif not isinstance(other, MultilinearPoly):
             return NotImplemented
-        if self.arity == other.arity:
-            return self, other
-        if self.arity == 0:
-            return MultilinearPoly(other.arity, self.coeffs), other
-        if other.arity == 0:
-            return self, MultilinearPoly(self.arity, other.coeffs)
-        raise ArityMismatchError(
-            f"cannot combine polynomials of arity {self.arity} and {other.arity}"
-        )
+        if self.arity != other.arity:
+            if self.arity == 0:
+                return MultilinearPoly(other.arity, self.coeffs), other
+            if other.arity == 0:
+                return self, MultilinearPoly(self.arity, other.coeffs)
+            _same_arity(self.arity, "polynomial", other.arity, "polynomial")
+        return self, other
 
     def __add__(self, other):
         pair = self._coerce(other)
@@ -157,10 +156,7 @@ class MultilinearPoly(Value):
 
     def evaluate(self, bits) -> int:
         bits = tuple(bits)
-        if len(bits) != self.arity:
-            raise ArityMismatchError(
-                f"expected {self.arity} bits, got {len(bits)}"
-            )
+        _same_arity(len(bits), "assignment", self.arity, "polynomial")
         ones = {p for p, b in enumerate(bits) if b}
         return sum(c for s, c in self.coeffs.items() if s <= ones)
 
@@ -268,8 +264,7 @@ def from_truth_vector(tv: TruthVector, *, arity_cap: int = ARITY_CAP) -> Multili
     values, O(n * 2**n) instead of expanding every product term.
     """
     n = tv.arity
-    if n > arity_cap:
-        raise ArityCapError(n, arity_cap)
+    _rows(n, arity_cap)
     vals = _butterfly(list(tv.bits), -1)
     masks = list(compress(range(len(vals)), vals))
     return MultilinearPoly._of(
@@ -281,9 +276,7 @@ def values(p: MultilinearPoly) -> list[int]:
     """Value of ``p`` at every 0/1 point in row order: the zeta transform
     of its coefficients, O(n * 2**n), refused above ``ARITY_CAP``."""
     n = p.arity
-    if n > ARITY_CAP:
-        raise ArityCapError(n, ARITY_CAP)
-    vals = [0] * (1 << n)
+    vals = [0] * _rows(n, ARITY_CAP)
     for s, c in p.coeffs.items():
         vals[_mask_of_subset(s, n)] = c
     return _butterfly(vals, +1)
@@ -306,10 +299,12 @@ def to_truth_vector(p: MultilinearPoly) -> TruthVector:
 
 def minterm_poly(itp: Interpretation) -> MultilinearPoly:
     """Expanded product over all variables of ``x`` (bit 1) or ``1 - x``
-    (bit 0); evaluates to 1 exactly at ``itp``."""
+    (bit 0); evaluates to 1 exactly at ``itp``.  It has up to 2**n
+    monomials, so arities above ``ARITY_CAP`` are refused."""
     n = itp.arity
     if n < 1:
         raise DomainError("minterm requires arity >= 1")
+    _rows(n, ARITY_CAP)
     ones = frozenset(p for p, b in enumerate(itp.bits) if b)
     zeros = [p for p, b in enumerate(itp.bits) if not b]
     coeffs: dict[frozenset[int], int] = {}
@@ -328,11 +323,10 @@ def from_minterm_list(arity: int, minterms) -> MultilinearPoly:
     """
     if arity < 1:
         raise DomainError("minterm list requires arity >= 1")
-    if arity > ARITY_CAP:
-        raise ArityCapError(arity, ARITY_CAP)
+    rows = _rows(arity, ARITY_CAP)
     acc = MultilinearPoly.zero(arity)
     for index in minterms:
-        if not 0 <= index < (1 << arity):
+        if not 0 <= index < rows:
             raise DomainError(f"minterm index {index} out of range for arity {arity}")
         acc = acc + minterm_poly(Interpretation.from_index(arity, index))
     return acc
@@ -345,10 +339,7 @@ def select_cofactor(p: MultilinearPoly, itp: Interpretation) -> int:
     collapse to value * minterm) and once by direct evaluation; the two
     routes must agree.
     """
-    if p.arity != itp.arity:
-        raise ArityMismatchError(
-            f"polynomial arity {p.arity} != interpretation arity {itp.arity}"
-        )
+    _same_arity(p.arity, "polynomial", itp.arity, "interpretation")
     pi = minterm_poly(itp)
     value = p.evaluate(itp.bits)
     if p * pi != value * pi:
@@ -372,7 +363,9 @@ def connective_poly(kind: Connective, arity: int) -> MultilinearPoly:
 
     Applies the connective's definition to the variables, reading ``neg``,
     ``and``, ``or`` and ``xor`` as ``1 - a``, ``a*b``, ``a + b - a*b`` and
-    ``a + b - 2*a*b``.  MAJ is defined for exactly three arguments.
+    ``a + b - 2*a*b``.  MAJ is defined for exactly three arguments.  OR,
+    NOR and XOR expand to 2**n - 1 or more monomials, so they refuse arities
+    above ``ARITY_CAP``; AND and NAND have one or two and take any arity.
     """
     if kind is Connective.MAJ and arity != 3:
         raise DomainError("MAJ is only defined for arity 3")
@@ -380,6 +373,8 @@ def connective_poly(kind: Connective, arity: int) -> MultilinearPoly:
         raise DomainError(f"{kind.name} requires arity >= 2")
     if kind in BINARY_ONLY:
         raise DomainError(f"no direct arithmetic form for {kind.name}")
+    if kind not in (Connective.AND, Connective.NAND):
+        _rows(arity, ARITY_CAP)
     xs = [MultilinearPoly.variable(arity, k) for k in range(arity)]
     return _POLY_ALGEBRA.apply(kind, xs)
 

@@ -17,15 +17,17 @@ from operator import index as _int
 from operator import mul
 
 from ._value import Value
-from .errors import (
-    ArityCapError,
-    ArityMismatchError,
-    DenseCapError,
-    DomainError,
-    InvariantViolation,
-)
+from .errors import DenseCapError, DomainError, InvariantViolation
 from .multilinear import MultilinearPoly, values
-from .truthtable import ARITY_CAP, Interpretation, TruthVector, _bits_valid
+from .truthtable import (
+    ARITY_CAP,
+    Interpretation,
+    TruthVector,
+    _bits_valid,
+    _check_entries,
+    _rows,
+    _same_arity,
+)
 
 #: Dense 2**n x 2**n export is refused above this arity by default.
 DENSE_CAP = 6
@@ -42,13 +44,7 @@ class DiagonalOperator(Value):
         # operator.index keeps the entries exact: floats are rejected
         # instead of silently truncated.
         diagonal = tuple(map(int, map(_int, diagonal)))
-        if arity < 0:
-            raise DomainError(f"arity must be >= 0, got {arity}")
-        if len(diagonal) != 1 << arity:
-            raise DomainError(
-                f"expected {1 << arity} diagonal entries for arity {arity}, "
-                f"got {len(diagonal)}"
-            )
+        _check_entries(arity, diagonal, "diagonal entries")
         Value.__init__(self, arity, diagonal)
 
     @classmethod
@@ -61,27 +57,19 @@ class DiagonalOperator(Value):
 
     @classmethod
     def _constant(cls, arity: int, value: int) -> "DiagonalOperator":
-        if arity < 0:  # before 1 << arity, which refuses it as ValueError
-            raise DomainError(f"arity must be >= 0, got {arity}")
-        return cls._of(arity, (value,) * (1 << arity))
+        return cls._of(arity, (value,) * _rows(arity, ARITY_CAP))
 
     @property
     def is_projector(self) -> bool:
         """True iff idempotent, i.e. every eigenvalue is 0 or 1."""
         return _bits_valid(self.diagonal)
 
-    def _check_arity(self, other: "DiagonalOperator") -> None:
-        if self.arity != other.arity:
-            raise ArityMismatchError(
-                f"cannot combine operators of arity {self.arity} and {other.arity}"
-            )
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, DiagonalOperator):
             return NotImplemented
-        self._check_arity(other)
+        _same_arity(self.arity, "operator", other.arity, "operator")
         return DiagonalOperator._of(
             self.arity, tuple(a * b for a, b in zip(self.diagonal, other.diagonal))
         )
@@ -94,7 +82,7 @@ class DiagonalOperator(Value):
     def __add__(self, other):
         if not isinstance(other, DiagonalOperator):
             return NotImplemented
-        self._check_arity(other)
+        _same_arity(self.arity, "operator", other.arity, "operator")
         return DiagonalOperator._of(
             self.arity, tuple(a + b for a, b in zip(self.diagonal, other.diagonal))
         )
@@ -102,7 +90,7 @@ class DiagonalOperator(Value):
     def __sub__(self, other):
         if not isinstance(other, DiagonalOperator):
             return NotImplemented
-        self._check_arity(other)
+        _same_arity(self.arity, "operator", other.arity, "operator")
         return DiagonalOperator._of(
             self.arity, tuple(a - b for a, b in zip(self.diagonal, other.diagonal))
         )
@@ -112,14 +100,13 @@ class DiagonalOperator(Value):
 
     def complement(self) -> "DiagonalOperator":
         """Identity minus self; negation when self is a projector."""
-        return DiagonalOperator.identity(self.arity) - self
+        return DiagonalOperator._of(self.arity, tuple(1 - d for d in self.diagonal))
 
     def kron(self, other: "DiagonalOperator"):
         """Kronecker product; self supplies the most significant index block.
         Refuses arities above ``ARITY_CAP`` before allocating."""
         arity = self.arity + other.arity
-        if arity > ARITY_CAP:
-            raise ArityCapError(arity, ARITY_CAP)
+        _rows(arity, ARITY_CAP)
         return DiagonalOperator._of(
             arity, tuple(a * b for a in self.diagonal for b in other.diagonal)
         )
@@ -155,6 +142,7 @@ def rank1_projector(itp: Interpretation) -> DiagonalOperator:
     is 1, at the row index of ``itp``."""
     if itp.arity < 1:
         raise DomainError("rank-1 projector requires arity >= 1")
+    _rows(itp.arity, ARITY_CAP)
     factors = [seed() if b else seed().complement() for b in itp.bits]
     op = factors[0]
     for factor in factors[1:]:
@@ -169,6 +157,7 @@ def logical_projector(arity: int, position: int) -> DiagonalOperator:
         raise DomainError(
             f"projector position {position} out of range for arity {arity}"
         )
+    _rows(arity, ARITY_CAP)
     op = seed() if position == 0 else DiagonalOperator.identity(1)
     for k in range(1, arity):
         op = op.kron(seed() if k == position else DiagonalOperator.identity(1))
@@ -194,10 +183,7 @@ def lift_polynomial(p: MultilinearPoly) -> DiagonalOperator:
 def trace_select(f: DiagonalOperator, itp: Interpretation) -> int:
     """trace(f * rank-1 projector at itp): the eigenvalue of ``f`` on that
     interpretation, i.e. the truth value when ``f`` is a projector."""
-    if f.arity != itp.arity:
-        raise ArityMismatchError(
-            f"operator arity {f.arity} != interpretation arity {itp.arity}"
-        )
+    _same_arity(f.arity, "operator", itp.arity, "interpretation")
     if f.arity == 0:
         return f.diagonal[0]
     value = (f * rank1_projector(itp)).trace()
@@ -227,7 +213,7 @@ def von_neumann_check(p: DiagonalOperator, q: DiagonalOperator) -> VonNeumannRep
     p*q == q.  Both directions of each equivalence are asserted;
     commutation is verified on literal dense matrices when the arity is
     within the dense cap."""
-    p._check_arity(q)
+    _same_arity(p.arity, "operator", q.arity, "operator")
     if not (p.is_projector and q.is_projector):
         raise DomainError("both operands must be projectors")
     if p.arity <= DENSE_CAP:
@@ -252,8 +238,8 @@ def kron_mixed_product_check(
     s: DiagonalOperator,
 ) -> bool:
     """Assert (p (x) q) * (r (x) s) == (p*r) (x) (q*s); True on success."""
-    if p.arity != r.arity or q.arity != s.arity:
-        raise ArityMismatchError("mixed product requires p,r and q,s of equal arity")
+    _same_arity(p.arity, "p", r.arity, "r")
+    _same_arity(q.arity, "q", s.arity, "s")
     lhs = p.kron(q) * r.kron(s)
     rhs = (p * r).kron(q * s)
     if lhs != rhs:

@@ -13,9 +13,9 @@ import math
 from operator import attrgetter
 
 from ._value import Value
-from .errors import ArityMismatchError, DomainError
+from .errors import DomainError
 from .operators import DiagonalOperator, trace_select
-from .truthtable import Interpretation
+from .truthtable import ARITY_CAP, Interpretation, _check_entries, _rows, _same_arity
 
 NORM_TOL = 1e-9
 #: Inputs whose norm is within this of 1 count as already normalized.
@@ -39,14 +39,8 @@ class InterpretationState(Value):
         amplitudes: tuple[complex, ...],
         input_normalized: bool = True,
     ):
-        if arity < 0:
-            raise DomainError(f"arity must be >= 0, got {arity}")
         amplitudes = tuple(map(complex, amplitudes))
-        if len(amplitudes) != 1 << arity:
-            raise ArityMismatchError(
-                f"expected {1 << arity} amplitudes for arity {arity}, "
-                f"got {len(amplitudes)}"
-            )
+        _check_entries(arity, amplitudes, "amplitudes")
         Value.__init__(self, arity, amplitudes, input_normalized)
         if abs(self.norm_squared() - 1.0) > NORM_TOL:
             raise DomainError("state amplitudes are not normalized")
@@ -57,8 +51,7 @@ class InterpretationState(Value):
 
 def basis_state(itp: Interpretation) -> InterpretationState:
     """Crisp state: amplitude 1 at the row index of ``itp``, 0 elsewhere."""
-    size = 1 << itp.arity
-    amps = [0j] * size
+    amps = [0j] * _rows(itp.arity, ARITY_CAP)
     amps[itp.index] = 1 + 0j
     return InterpretationState._of(itp.arity, tuple(amps), True)
 
@@ -76,17 +69,12 @@ def from_amplitudes(arity: int, amplitudes) -> InterpretationState:
     Raises on a zero vector, a non-finite component or a length other
     than 2**arity.
     """
-    if arity < 0:
-        raise DomainError(f"arity must be >= 0, got {arity}")
     items = tuple(amplitudes)
     try:
         amps = tuple(map(complex, items))
     except TypeError:  # (real, imaginary) pairs among the items
         amps = tuple(map(_as_complex, items))
-    if len(amps) != 1 << arity:
-        raise ArityMismatchError(
-            f"expected {1 << arity} amplitudes for arity {arity}, got {len(amps)}"
-        )
+    _check_entries(arity, amps, "amplitudes")
     if not all(map(cmath.isfinite, amps)):
         raise DomainError("amplitudes must be finite")
     # Rescale by the largest component before normalizing so that even
@@ -107,10 +95,7 @@ def expectation(f: DiagonalOperator, state: InterpretationState) -> float:
     """Mean eigenvalue of ``f`` in ``state``: the squared-magnitude-weighted
     sum of the diagonal.  For a projector this is a fuzzy truth value in
     [0, 1]; on a basis state it is the crisp truth value."""
-    if f.arity != state.arity:
-        raise ArityMismatchError(
-            f"operator arity {f.arity} != state arity {state.arity}"
-        )
+    _same_arity(f.arity, "operator", state.arity, "state")
     return sum(
         (a.real * a.real + a.imag * a.imag) * d
         for a, d in zip(state.amplitudes, f.diagonal)

@@ -38,6 +38,33 @@ def _bits_valid(bits: tuple) -> bool:
         return all(b in (0, 1) for b in bits)
 
 
+def _rows(arity: int, cap: int | None) -> int:
+    """The 2**arity rows of a value over ``arity`` variables: the one check
+    that an arity is legal and, unless ``cap`` is None, within the cap.
+    Every allocator of 2**n entries passes a cap and calls this before it
+    allocates; a value handed entries that already exist passes None."""
+    if arity < 0:
+        raise DomainError(f"arity must be >= 0, got {arity}")
+    if cap is not None and arity > cap:
+        raise ArityCapError(arity, cap)
+    return 1 << arity
+
+
+def _check_entries(arity: int, entries, noun: str) -> None:
+    """Refuse ``entries`` unless it holds one entry per row of ``arity``."""
+    rows = _rows(arity, None)
+    if len(entries) != rows:
+        raise ArityMismatchError(
+            f"expected {rows} {noun} for arity {arity}, got {len(entries)}"
+        )
+
+
+def _same_arity(a: int, what_a: str, b: int, what_b: str) -> None:
+    """Refuse to combine a value of arity ``a`` with one of arity ``b``."""
+    if a != b:
+        raise ArityMismatchError(f"{what_a} arity {a} != {what_b} arity {b}")
+
+
 def _pack(bits) -> int:
     """Row mask of 0/1 entries, entry k at bit k, packed as base-2 text in
     linear time; shifting a multi-megabit mask once per row is quadratic."""
@@ -57,10 +84,9 @@ class Interpretation(Value):
 
     @classmethod
     def from_index(cls, arity: int, index: int) -> "Interpretation":
-        if arity < 0:
-            raise DomainError(f"arity must be >= 0, got {arity}")
+        rows = _rows(arity, None)
         index = int(_int(index))  # so the bits are ints, as the constructor's
-        if not 0 <= index < (1 << arity):
+        if not 0 <= index < rows:
             raise DomainError(f"row index {index} out of range for arity {arity}")
         return cls._of(tuple((index >> (arity - 1 - p)) & 1 for p in range(arity)))
 
@@ -86,12 +112,7 @@ class TruthVector(Value):
 
     def __init__(self, arity: int, bits: tuple[int, ...]):
         bits = tuple(bits)
-        if arity < 0:
-            raise DomainError(f"arity must be >= 0, got {arity}")
-        if len(bits) != 1 << arity:
-            raise DomainError(
-                f"expected {1 << arity} rows for arity {arity}, got {len(bits)}"
-            )
+        _check_entries(arity, bits, "rows")
         if not _bits_valid(bits):
             raise DomainError("truth vector entries must be 0 or 1")
         Value.__init__(self, arity, _pack(bits))
@@ -110,12 +131,9 @@ class TruthVector(Value):
     @classmethod
     def from_index(cls, arity: int, index: int) -> "TruthVector":
         """Truth vector whose :attr:`function_index` is ``index``."""
-        if arity < 0:
-            raise DomainError(f"arity must be >= 0, got {arity}")
-        if arity > ARITY_CAP:
-            raise ArityCapError(arity, ARITY_CAP)
+        rows = _rows(arity, ARITY_CAP)
         index = int(_int(index))  # exact: floats are rejected, not truncated
-        if index < 0 or index.bit_length() > 1 << arity:
+        if index < 0 or index.bit_length() > rows:
             raise DomainError(
                 f"function index {index} out of range for arity {arity}"
             )
@@ -162,10 +180,7 @@ def _evaluate(f: Formula, columns: dict[str, int], full: int) -> int:
 
 def eval_formula(f: Formula, order: VariableOrder, itp: Interpretation) -> int:
     """Classical truth value of ``f`` under one assignment, as 0 or 1."""
-    if itp.arity != len(order):
-        raise ArityMismatchError(
-            f"assignment has {itp.arity} bits, variable order has {len(order)}"
-        )
+    _same_arity(itp.arity, "interpretation", len(order), "variable order")
     return _evaluate(f, dict(zip(order.names, itp.bits)), 1)
 
 
@@ -193,8 +208,6 @@ def truth_vector(
     if order is None:
         order = variables(f)
     n = len(order)
-    if n > arity_cap:
-        raise ArityCapError(n, arity_cap)
-    full = (1 << (1 << n)) - 1
+    full = (1 << _rows(n, arity_cap)) - 1
     columns = {name: _column_mask(p, n) for p, name in enumerate(order.names)}
     return TruthVector._of(n, _evaluate(f, columns, full))

@@ -16,6 +16,7 @@ from boolops.errors import InvariantViolation
 from boolops.formula import format_formula
 from boolops.truthtable import ARITY_CAP
 from conftest import formulas
+from golden import cli_digests
 
 
 def run(capsys, *argv):
@@ -308,6 +309,27 @@ def test_expect_rejects_non_finite_amplitudes(capsys, amplitudes):
 def test_arity_cap_flag(capsys):
     code, _, err = run(capsys, "table", "a & b & c", "--arity-cap", "2")
     assert code == 3 and "cap" in err
+
+
+def test_arity_cap_flag_limits_index_arity(capsys):
+    code, out, err = run(capsys, "index", "--arity", "20", "5", "--arity-cap", "2")
+    assert (code, out, err) == (3, "", "error: arity 20 exceeds the cap of 2\n")
+    # The flag lowers the cap; TruthVector.from_index keeps ARITY_CAP above it.
+    code, out, err = run(capsys, "index", "--arity", "25", "5", "--arity-cap", "30")
+    assert (code, out) == (3, "") and f"cap of {ARITY_CAP}" in err
+    code, out, _ = run(capsys, "index", "--arity", "3", "5", "--arity-cap", "3")
+    assert (code, out) == (0, "10100000\n")
+
+
+def test_output_matches_the_recorded_digests():
+    # Every command in both output modes, arity 0-14, and the error paths:
+    # stdout, stderr and exit code must equal tests/golden/cli_digests.txt.
+    lines = cli_digests.read_digests()
+    assert [json.loads(line.split("\t", 1)[0]) for line in lines] == (
+        cli_digests.invocations()
+    ), "the digest file is stale: rerun tests/golden/cli_digests.py"
+    found = cli_digests.mismatches(lines)
+    assert not found, f"{len(found)} invocations changed:\n" + "\n".join(found[:5])
 
 
 def test_vars_validation(capsys):

@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from boolops.errors import (
     ArityCapError,
@@ -21,7 +22,22 @@ from boolops.formula import (
     parse,
     variables,
 )
-from boolops.truthtable import Interpretation, TruthVector, eval_formula, truth_vector
+from boolops.multilinear import (
+    MultilinearPoly,
+    connective_poly,
+    from_minterm_list,
+    minterm_poly,
+    select_cofactor,
+)
+from boolops.operators import DiagonalOperator, logical_projector, rank1_projector
+from boolops.states import InterpretationState, basis_state, from_amplitudes
+from boolops.truthtable import (
+    ARITY_CAP,
+    Interpretation,
+    TruthVector,
+    eval_formula,
+    truth_vector,
+)
 from conftest import NAMES, formulas
 
 XY = VariableOrder(("x", "y"))
@@ -187,6 +203,76 @@ def test_arity_cap():
     with pytest.raises(ArityCapError):
         truth_vector(three, arity_cap=2)
     assert truth_vector(three, arity_cap=3).function_index == 1 << 7
+
+
+def _zeros(n):
+    return Interpretation((0,) * n)
+
+
+#: Allocators of up to 2**n entries or monomials, each called at arity n.
+CAPPED = {
+    "DiagonalOperator.identity": DiagonalOperator.identity,
+    "DiagonalOperator.zero": DiagonalOperator.zero,
+    "basis_state": lambda n: basis_state(_zeros(n)),
+    "minterm_poly": lambda n: minterm_poly(_zeros(n)),
+    "select_cofactor": lambda n: select_cofactor(MultilinearPoly.one(n), _zeros(n)),
+    "connective_poly OR": lambda n: connective_poly(Connective.OR, n),
+    "connective_poly NOR": lambda n: connective_poly(Connective.NOR, n),
+    "connective_poly XOR": lambda n: connective_poly(Connective.XOR, n),
+    "rank1_projector": lambda n: rank1_projector(_zeros(n)),
+    "logical_projector": lambda n: logical_projector(n, 0),
+}
+
+
+@pytest.mark.parametrize("n", [25, 40])
+@pytest.mark.parametrize("name", list(CAPPED))
+def test_allocators_refuse_above_the_cap_before_allocating(name, n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArityCapError) as info:
+            CAPPED[name](n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.arity, info.value.cap) == (n, ARITY_CAP)
+    assert str(info.value) == f"arity {n} exceeds the cap of {ARITY_CAP}"
+    assert peak < 1 << 20
+
+
+def test_and_and_nand_polynomials_take_any_arity():
+    everything = frozenset(range(30))
+    assert dict(connective_poly(Connective.AND, 30).coeffs) == {everything: 1}
+    assert dict(connective_poly(Connective.NAND, 30).coeffs) == {
+        frozenset(): 1,
+        everything: -1,
+    }
+
+
+#: Constructors whose arity passes through the one gate, with whether they
+#: allocate 2**n entries when the arity is legal.
+GATED = {
+    "TruthVector": (lambda n: TruthVector(n, (0, 1)), False),
+    "TruthVector.from_index": (lambda n: TruthVector.from_index(n, 1), False),
+    "Interpretation.from_index": (lambda n: Interpretation.from_index(n, 0), False),
+    "MultilinearPoly": (lambda n: MultilinearPoly(n, {(): 1}), False),
+    "DiagonalOperator": (lambda n: DiagonalOperator(n, (0, 1)), False),
+    "InterpretationState": (lambda n: InterpretationState(n, (0, 1)), False),
+    "from_amplitudes": (lambda n: from_amplitudes(n, (1, 1j)), False),
+    "connective_poly AND": (lambda n: connective_poly(Connective.AND, n), False),
+    "connective_poly NAND": (lambda n: connective_poly(Connective.NAND, n), False),
+    **{name: (build, True) for name, build in CAPPED.items()},
+    "from_minterm_list": (lambda n: from_minterm_list(n, [0]), True),
+}
+
+
+@given(st.sampled_from(sorted(GATED)), st.integers(-3, 60))
+def test_gated_constructors_return_or_raise_a_domain_error(name, n):
+    build, allocates = GATED[name]
+    assume(not allocates or n <= 12 or n > ARITY_CAP)  # keep each example small
+    try:
+        build(n)
+    except DomainError:
+        pass
 
 
 def test_truth_vector_serialization():

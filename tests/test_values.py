@@ -158,7 +158,11 @@ VALIDATION = [
     (lambda: Interpretation((0, 2)), DomainError,
      "assignment bits must be 0/1, got (0, 2)"),
     (lambda: TruthVector(-1, ()), DomainError, "arity must be >= 0, got -1"),
-    (lambda: TruthVector(1, (0,)), DomainError, "expected 2 rows for arity 1, got 1"),
+    # A wrong entry count is an ArityMismatchError; the ids are the ones
+    # these cases had when it was a plain DomainError.
+    pytest.param(lambda: TruthVector(1, (0,)), ArityMismatchError,
+                 "expected 2 rows for arity 1, got 1",
+                 id="<lambda>-DomainError-expected 2 rows for arity 1, got 1"),
     (lambda: TruthVector(1, (0, 2)), DomainError, "truth vector entries must be 0 or 1"),
     (lambda: InterpretationState(1, (1,)), ArityMismatchError,
      "expected 2 amplitudes for arity 1, got 1"),
@@ -167,8 +171,9 @@ VALIDATION = [
     pytest.param(lambda: DiagonalOperator(-1, ()), DomainError,
                  "arity must be >= 0, got -1",
                  id="DiagonalOperator-DomainError-arity must be >= 0, got -1"),
-    (lambda: DiagonalOperator(1, (0,)), DomainError,
-     "expected 2 diagonal entries for arity 1, got 1"),
+    pytest.param(lambda: DiagonalOperator(1, (0,)), ArityMismatchError,
+                 "expected 2 diagonal entries for arity 1, got 1",
+                 id="<lambda>-DomainError-expected 2 diagonal entries for arity 1, got 1"),
     (lambda: DiagonalOperator(1, (0, 1)).scale(1.5), TypeError,
      "'float' object cannot be interpreted as an integer"),
 ]
